@@ -21,7 +21,7 @@ The most common entry points are re-exported here::
 """
 
 from .eval.metrics import PredictorMetrics
-from .serve.session import run_predictor
+from .eval.runner import run_predictor
 from .pipeline import PipelinedPredictor
 from .predictors import (
     AddressPredictor,

@@ -5,7 +5,7 @@ from .charts import bar_chart, grouped_bar_chart, series_chart
 from .engine import Job, JobResult, resolve_jobs, run_jobs
 from .metrics import PredictorMetrics, SuiteMetrics, aggregate_by_suite
 from .report import format_percent, format_speedup, format_table
-from ..serve.session import run_on_columns, run_on_stream, run_predictor
+from .runner import run_on_columns, run_on_stream, run_predictor
 from .sensitivity import SweepResult, sweep
 
 __all__ = [

@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="differential verification: oracle vs stream vs columns",
+        help="differential verification: oracle vs columns vs kernels",
     )
     verify.add_argument("--fuzz", type=int, default=200, metavar="N",
                         help="fuzz cases to run (0 = skip fuzzing)")

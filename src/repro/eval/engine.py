@@ -50,7 +50,7 @@ from ..trace.trace import PredictorStream, Trace
 from ..workloads import suites as suite_registry
 from . import config as run_config
 from .metrics import AttributionCounters, PredictorMetrics
-from ..serve.session import run_on_columns
+from .runner import run_on_columns
 
 __all__ = [
     "FACTORIES",

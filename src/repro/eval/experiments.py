@@ -47,7 +47,7 @@ from .charts import grouped_bar_chart
 from .engine import Job, run_jobs
 from .metrics import PredictorMetrics, SuiteMetrics, aggregate_by_suite
 from .report import format_percent, format_speedup, format_table
-from ..serve.session import run_predictor
+from .runner import run_predictor
 
 __all__ = [
     "fig5",

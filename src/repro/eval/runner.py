@@ -1,63 +1,54 @@
 """Drive a predictor over a trace and collect metrics.
 
-.. deprecated:: PR 7
-   The evaluation loops live in :mod:`repro.serve.session`, behind the
-   sessionized :class:`~repro.serve.session.PredictorSession` facade
-   (``session.feed(events)`` → predictions, ``session.finish()`` →
-   metrics).  The functions here are thin delegating shims kept so
-   existing drivers, figures and tests import from their historical
-   home; new code should construct a session (stateful, incremental) or
-   call the :mod:`repro.serve.session` loops directly (one-shot).
+The runner walks the trace's predictor stream (loads, branches, calls,
+returns in program order), calls ``predict``/``update`` for every dynamic
+load and maintains the correctness bookkeeping.  With the default
+immediate-update predictors this reproduces the Section 4 machine model;
+wrapping the predictor in :class:`repro.pipeline.PipelinedPredictor` gives
+the Section 5 model without changing the loop.
 
-The contract is unchanged: the runner walks the trace's predictor stream
-(loads, branches, calls, returns in program order), calls
-``predict``/``update`` for every dynamic load and maintains the
-correctness bookkeeping.  With the default immediate-update predictors
-this reproduces the Section 4 machine model; wrapping the predictor in
-:class:`repro.pipeline.PipelinedPredictor` gives the Section 5 model
-without changing the loops.
+There is one evaluation path.  :func:`run_on_columns` tries the batch
+kernels (:func:`repro.kernels.try_run_batch`) and otherwise runs
+:func:`run_scalar`, the only per-event loop.  :func:`run_on_stream` packs
+a tuple list into columns and calls :func:`run_on_columns`;
+:func:`run_predictor` is the one-shot convenience over both.  The served
+:class:`~repro.serve.session.PredictorSession` calls the same two pieces.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Iterable, Optional, Set, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
+from ..kernels import try_run_batch
 from ..predictors.base import AddressPredictor
 from ..trace.trace import PredictorStream, Trace
-from .metrics import PredictorMetrics
+from .metrics import AttributionCounters, PredictorMetrics
 
-__all__ = ["run_predictor", "run_on_stream", "run_on_columns"]
-
-#: Shim names that already warned this process — each deprecated entry
-#: point announces itself once, not once per evaluated trace.
-_WARNED: Set[str] = set()
+__all__ = ["run_predictor", "run_on_stream", "run_on_columns", "run_scalar"]
 
 
-def _warn_deprecated(name: str) -> None:
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"repro.eval.runner.{name} is deprecated; use"
-        f" repro.serve.session.{name} (or a PredictorSession)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+def _columns_of(events: Iterable[Sequence[int]]) -> PredictorStream:
+    """Pack ``(tag, ip, a, b)`` tuples into a columnar stream."""
+    tag, ip, a, b = [list(col) for col in zip(*events)] or [[], [], [], []]
+    return PredictorStream(tag, ip, a, b)
 
 
 def run_on_stream(
     predictor: AddressPredictor,
-    stream: Iterable[tuple],
+    stream: Iterable[Sequence[int]],
     metrics: PredictorMetrics,
     warmup_loads: int = 0,
     observer: Optional[Callable] = None,
 ) -> PredictorMetrics:
-    """Shim for :func:`repro.serve.session.run_on_stream` (see above)."""
-    from ..serve.session import run_on_stream as impl
+    """:func:`run_on_columns` over a list of ``(tag, ip, a, b)`` tuples.
 
-    _warn_deprecated("run_on_stream")
-    return impl(predictor, stream, metrics, warmup_loads, observer)
+    ``stream`` items follow :meth:`repro.trace.Trace.predictor_stream`:
+    ``(1, ip, addr, offset)`` loads, ``(0, ip, taken, 0)`` branches,
+    ``(2, ip, 0, 0)`` calls, ``(3, ip, 0, 0)`` returns.
+    """
+    return run_on_columns(
+        predictor, _columns_of(stream), metrics, warmup_loads, observer
+    )
 
 
 def run_on_columns(
@@ -67,11 +58,83 @@ def run_on_columns(
     warmup_loads: int = 0,
     observer: Optional[Callable] = None,
 ) -> PredictorMetrics:
-    """Shim for :func:`repro.serve.session.run_on_columns` (see above)."""
-    from ..serve.session import run_on_columns as impl
+    """Evaluate ``predictor`` over a :class:`PredictorStream`.
 
-    _warn_deprecated("run_on_columns")
-    return impl(predictor, stream, metrics, warmup_loads, observer)
+    Dispatches to the batch kernels (:mod:`repro.kernels`) when the
+    predictor advertises ``supports_batch``, the resolved backend is
+    ``numpy`` and no observer is attached; otherwise runs
+    :func:`run_scalar`.  Either way exactly one dispatch outcome is
+    tallied and ``metrics.backend`` records which path actually ran.
+    """
+    result = try_run_batch(predictor, stream, metrics, warmup_loads, observer)
+    if result is None:
+        run_scalar(predictor, stream, metrics, warmup_loads, observer)
+    return metrics
+
+
+def run_scalar(
+    predictor: AddressPredictor,
+    stream: PredictorStream,
+    metrics: PredictorMetrics,
+    warmup_loads: int = 0,
+    observer: Optional[Callable] = None,
+) -> PredictorMetrics:
+    """The per-event reference loop, with no kernel dispatch.
+
+    ``warmup_loads`` loads at the start train the predictor without being
+    counted (the paper's 30M-instruction traces amortise warm-up; short
+    synthetic traces may not).
+
+    ``observer`` (when given) is called as ``observer(ip, offset, actual,
+    prediction)`` for every dynamic load, between prediction and table
+    update — the hook the differential verification harness and the
+    served sessions use to capture per-access predictions.
+
+    ``zip`` over the four parallel columns lets CPython recycle the event
+    tuple every iteration, and the correctness counters accumulate in
+    locals, folded into ``metrics`` once at the end.
+    """
+    predict = predictor.predict
+    update = predictor.update
+    on_branch = predictor.on_branch
+    on_call = predictor.on_call
+    on_return = predictor.on_return
+    seen_loads = 0
+    loads = predictions = correct_predictions = 0
+    speculative = correct_speculative = 0
+    metrics.backend = "python"
+
+    for tag, ip, a, b in zip(*stream.lists()):
+        if tag == 1:
+            prediction = predict(ip, b)
+            if observer is not None:
+                observer(ip, b, a, prediction)
+            seen_loads += 1
+            if seen_loads > warmup_loads:
+                loads += 1
+                correct = prediction.address == a
+                if prediction.made:
+                    predictions += 1
+                    if correct:
+                        correct_predictions += 1
+                if prediction.speculative:
+                    speculative += 1
+                    if correct:
+                        correct_speculative += 1
+            update(ip, b, a, prediction)
+        elif tag == 0:
+            on_branch(ip, bool(a))
+        elif tag == 2:
+            on_call(ip)
+        else:
+            on_return(ip)
+
+    metrics.loads += loads
+    metrics.predictions += predictions
+    metrics.correct_predictions += correct_predictions
+    metrics.speculative += speculative
+    metrics.correct_speculative += correct_speculative
+    return metrics
 
 
 def run_predictor(
@@ -81,8 +144,48 @@ def run_predictor(
     warmup_loads: int = 0,
     instrument: bool = False,
 ) -> PredictorMetrics:
-    """Shim for :func:`repro.serve.session.run_predictor` (see above)."""
-    from ..serve.session import run_predictor as impl
+    """Evaluate ``predictor`` on ``trace`` and return fresh metrics.
 
-    _warn_deprecated("run_predictor")
-    return impl(predictor, trace, name, warmup_loads, instrument)
+    ``trace`` may be a :class:`Trace` (evaluated through its columnar
+    stream), a :class:`PredictorStream`, or an already-extracted list of
+    stream tuples (useful when evaluating many predictors over one trace).
+
+    With ``instrument=True`` an attribution probe is attached to the
+    predictor tree and the result is an
+    :class:`~repro.eval.metrics.AttributionCounters` carrying the
+    per-component misprediction-cause breakdown.
+    """
+    trace_name = ""
+    suite = ""
+    if isinstance(trace, Trace):
+        stream = trace.predictor_columns()
+        trace_name = trace.name
+        suite = trace.meta.get("suite", "")
+    elif isinstance(trace, PredictorStream):
+        stream = trace
+    else:
+        stream = _columns_of(trace)
+    metrics: PredictorMetrics
+    probe = None
+    if instrument:
+        # Imported here: the runner itself stays telemetry-free for the
+        # (overwhelmingly common) uninstrumented path.
+        from ..telemetry.instrumentation import (
+            AttributionProbe,
+            instrument_predictor,
+        )
+
+        probe = AttributionProbe()
+        instrument_predictor(predictor, probe)
+        metrics = AttributionCounters(
+            name=name or predictor.name, trace=trace_name, suite=suite,
+        )
+    else:
+        metrics = PredictorMetrics(
+            name=name or predictor.name, trace=trace_name, suite=suite,
+        )
+    run_on_columns(predictor, stream, metrics, warmup_loads)
+    if probe is not None:
+        assert isinstance(metrics, AttributionCounters)
+        metrics.absorb_probe(probe)
+    return metrics

@@ -28,7 +28,7 @@ from ..predictors.stride import StrideConfig, StridePredictor
 from ..workloads import suites as suite_registry
 from .metrics import PredictorMetrics
 from .report import format_percent, format_table
-from ..serve.session import run_predictor
+from .runner import run_predictor
 
 __all__ = ["SweepResult", "sweep", "SWEEPABLE"]
 

@@ -1,20 +1,22 @@
 """Batch kernel layer: vectorised predictor evaluation over columnar events.
 
-The scalar evaluation loop (:func:`repro.eval.runner.run_on_columns`)
+The scalar evaluation loop (:func:`repro.eval.runner.run_scalar`)
 interprets one event at a time; for table-indexed predictors the same
 computation factors into grouped array passes — the kernels here evaluate
 a whole :class:`~repro.trace.trace.PredictorStream` per predictor in a
 handful of numpy operations plus short Python loops over rare sequential
 stretches (CFI dirty periods, per-key state commits).
 
-Entry point: :func:`try_run_batch`, called by ``run_on_columns``.  It
-dispatches to a predictor's ``predict_batch``/``update_batch`` kernel when
+Entry point: :func:`try_run_batch`, called by
+:func:`repro.eval.runner.run_on_columns` and by a served session's first
+feed.  It dispatches to a predictor's ``predict_batch``/``update_batch``
+kernel when
 
 * the resolved backend is ``numpy`` (``REPRO_BACKEND`` / ``--backend``),
 * the predictor advertises ``supports_batch`` and is not in the pipelined
   ``speculative_mode``, and
-* no per-access observer is attached (the differential harness has its
-  own record-reconstruction entry point, :func:`batch_records`),
+* no per-access observer is attached (callers that need per-access
+  records rebuild them from the result with :func:`batch_records`),
 
 and falls back to the scalar reference when the kernel raises
 :class:`BatchFallback` (configurations with genuinely sequential table
@@ -84,26 +86,27 @@ def try_run_batch(
     metrics,
     warmup_loads: int = 0,
     observer: Optional[Callable] = None,
-) -> bool:
-    """Kernel dispatch for ``run_on_columns``.
+) -> Optional[BatchResult]:
+    """Kernel dispatch, tallying exactly one outcome per call.
 
-    Returns True when the batch path ran (metrics fully folded); False
-    when the caller must run the scalar loop.
+    Returns the :class:`BatchResult` when the batch path ran (metrics
+    fully folded); ``None`` when the caller must run the scalar loop.
     """
-    if observer is not None or not supports_batch(predictor):
+    if (
+        observer is not None
+        or not supports_batch(predictor)
+        or resolve_backend() != BACKEND_NUMPY
+    ):
         record_dispatch(predictor, "declined")
-        return False
-    if resolve_backend() != BACKEND_NUMPY:
-        record_dispatch(predictor, "declined")
-        return False
+        return None
     result = run_batch(predictor, stream, warmup_loads)
     if result is None:
         record_dispatch(predictor, "fallback")
-        return False
+        return None
     record_dispatch(predictor, "dispatched")
     fold_metrics(result, metrics, warmup_loads)
     metrics.backend = BACKEND_NUMPY
-    return True
+    return result
 
 
 def fold_metrics(result: BatchResult, metrics, warmup_loads: int) -> None:

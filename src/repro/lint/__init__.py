@@ -22,8 +22,14 @@ Architecture
         environment reads outside repro.eval.config)
   R003  bit-width hygiene (unmasked address/history arithmetic)
   R004  engine picklability (lambdas/local defs in Job payloads)
-  R005  stream/columns parity (run_on_stream vs run_on_columns)
+  R006  batch-kernel contract (predict/update/supports_batch)
+  R007  await atomicity (check-then-act across ``await``)
+  R008  bit-width hygiene through dataflow (renames, calls)
+  R009  numpy int64 overflow in the kernels
+  R010  ingest error-message and exit-code hygiene
   ====  =====================================================
+
+  R005 is retired and its id is not reused.
 
 * :mod:`repro.lint.reporters` — text and JSON output.
 * :mod:`repro.lint.cli` — the ``python -m repro lint`` entry point.

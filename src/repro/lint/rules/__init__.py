@@ -11,7 +11,6 @@ from .reset_completeness import ResetCompletenessRule
 from .determinism import DeterminismRule
 from .bitwidth import BitWidthRule
 from .picklability import PicklabilityRule
-from .parity import StreamColumnsParityRule
 from .batch_contract import BatchContractRule
 from .await_atomicity import AwaitAtomicityRule
 from .bitwidth_flow import BitWidthFlowRule
@@ -23,7 +22,6 @@ __all__ = [
     "DeterminismRule",
     "BitWidthRule",
     "PicklabilityRule",
-    "StreamColumnsParityRule",
     "BatchContractRule",
     "AwaitAtomicityRule",
     "BitWidthFlowRule",

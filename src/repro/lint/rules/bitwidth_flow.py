@@ -169,8 +169,6 @@ class BitWidthFlowRule(Rule):
         tainted_callees = self._tainted_return_functions(module)
         for func, symbol in self._functions(module.tree):
             taint = _FunctionTaint(func, tainted_callees)
-            if not taint.tainted:
-                continue
             yield from self._check_function(module, func, symbol, taint)
 
     @staticmethod

@@ -4,11 +4,9 @@ This package turns the offline evaluation machinery into a long-running
 service:
 
 * :mod:`repro.serve.session` — :class:`PredictorSession`, the stateful
-  facade over the evaluation loops (``session.feed(events)`` returns
-  per-load predictions, ``session.finish()`` returns the metrics), plus
-  the loops themselves (``run_on_stream`` / ``run_on_columns`` /
-  ``run_predictor`` moved here from :mod:`repro.eval.runner`, which now
-  shims to them).
+  facade over the offline evaluation path of :mod:`repro.eval.runner`
+  (``session.feed(events)`` returns per-load predictions,
+  ``session.finish()`` returns the metrics).
 * :mod:`repro.serve.protocol` — the length-prefixed JSON/binary wire
   format shared by server and clients.
 * :mod:`repro.serve.server` — the asyncio server behind
@@ -17,9 +15,9 @@ service:
 * :mod:`repro.serve.sharding` — sticky session routing across worker
   processes, reusing the engine's job machinery.
 
-Only the session facade and protocol are imported eagerly; the asyncio
-server and sharding layers load on demand from the CLI so the offline
-evaluation path never pays for them.
+Only the session facade is imported eagerly; the asyncio server and
+sharding layers load on demand from the CLI.  Offline evaluation never
+imports this package.
 """
 
 from .session import PredictorSession, SessionConfig

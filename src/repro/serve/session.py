@@ -9,16 +9,15 @@ cross-feed warm-up accounting in the session itself.  ``feed(events)``
 returns one prediction record per dynamic load; ``finish()`` seals the
 session and returns the metrics.
 
-The evaluation loops themselves — :func:`run_on_stream`,
-:func:`run_on_columns`, :func:`run_predictor` — moved here from
-:mod:`repro.eval.runner` (which keeps thin delegating shims for existing
-drivers and tests).  Their semantics are unchanged; the session is a
-stateful wrapper over them plus the batch-kernel dispatch rules:
+A feed runs the offline evaluation path of :mod:`repro.eval.runner`:
+the kernel dispatch (:func:`repro.kernels.try_run_batch`), else the
+scalar loop (:func:`repro.eval.runner.run_scalar`) with an observer that
+captures the records.  The session adds one rule of its own:
 
 * The numpy kernels evaluate a whole stream against an **untrained**
   predictor, so the kernel path is only valid on the *first* feed of a
-  fresh session.  Later feeds run the incremental scalar loop against
-  the already-trained tables.
+  fresh session.  Later feeds run the scalar loop against the
+  already-trained tables.
 * ``metrics.backend`` records the backend that *actually ran*: ``numpy``
   iff at least one kernel dispatch succeeded, else ``python`` — a
   session whose every dispatch fell back reports ``python``.
@@ -27,30 +26,22 @@ stateful wrapper over them plus the batch-kernel dispatch rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from ..eval.engine import Job, build_predictor
 from ..eval.metrics import AttributionCounters, PredictorMetrics
+from ..eval.runner import _columns_of, run_scalar
+# Re-exported: the benchmark's served-vs-offline check and ledger bind these.
+from ..eval.runner import run_on_columns, run_on_stream
 from ..kernels import (
     BACKEND_NUMPY,
     BACKEND_PYTHON,
     batch_records,
     record_dispatch,
-    resolve_backend,
-    run_batch,
-    supports_batch,
     try_run_batch,
 )
 from ..predictors.base import AddressPredictor
-from ..trace.trace import PredictorStream, Trace
+from ..trace.trace import PredictorStream
 
 __all__ = [
     "PredictionRecord",
@@ -58,7 +49,6 @@ __all__ = [
     "SessionConfig",
     "run_on_columns",
     "run_on_stream",
-    "run_predictor",
 ]
 
 #: One served prediction: ``(ip, offset, actual, address, speculative,
@@ -67,182 +57,6 @@ __all__ = [
 #: reconstructs from a kernel run, so served output is byte-identical
 #: whichever path evaluated the load.
 PredictionRecord = Tuple[int, int, int, Optional[int], bool, str]
-
-
-# ---------------------------------------------------------------------------
-# Evaluation loops (moved from repro.eval.runner; shims remain there)
-# ---------------------------------------------------------------------------
-
-def run_on_stream(
-    predictor: AddressPredictor,
-    stream: Iterable[tuple],
-    metrics: PredictorMetrics,
-    warmup_loads: int = 0,
-    observer: Optional[Callable] = None,
-) -> PredictorMetrics:
-    """Evaluate ``predictor`` over a predictor stream.
-
-    ``stream`` items follow :meth:`repro.trace.Trace.predictor_stream`:
-    ``(1, ip, addr, offset)`` loads, ``(0, ip, taken, 0)`` branches,
-    ``(2, ip, 0, 0)`` calls, ``(3, ip, 0, 0)`` returns.
-
-    ``warmup_loads`` loads at the start train the predictor without being
-    counted (the paper's 30M-instruction traces amortise warm-up; short
-    synthetic traces may not).
-
-    ``observer`` (when given) is called as ``observer(ip, offset, actual,
-    prediction)`` for every dynamic load, between prediction and table
-    update — the hook the differential verification harness uses to diff
-    per-access behaviour across evaluation paths.
-    """
-    predict = predictor.predict
-    update = predictor.update
-    on_branch = predictor.on_branch
-    on_call = predictor.on_call
-    on_return = predictor.on_return
-    seen_loads = 0
-    metrics.backend = "python"
-
-    for tag, ip, a, b in stream:
-        if tag == 1:
-            prediction = predict(ip, b)
-            if observer is not None:
-                observer(ip, b, a, prediction)
-            seen_loads += 1
-            if seen_loads > warmup_loads:
-                metrics.record(
-                    made=prediction.made,
-                    speculative=prediction.speculative,
-                    correct=prediction.address == a,
-                )
-            update(ip, b, a, prediction)
-        elif tag == 0:
-            on_branch(ip, bool(a))
-        elif tag == 2:
-            on_call(ip)
-        else:
-            on_return(ip)
-    return metrics
-
-
-def run_on_columns(
-    predictor: AddressPredictor,
-    stream: PredictorStream,
-    metrics: PredictorMetrics,
-    warmup_loads: int = 0,
-    observer: Optional[Callable] = None,
-) -> PredictorMetrics:
-    """Columnar fast path: evaluate over a :class:`PredictorStream`.
-
-    Dispatches to the batch kernels (:mod:`repro.kernels`) when the
-    predictor advertises ``supports_batch`` and the resolved backend is
-    ``numpy``; otherwise runs the scalar reference loop.  The scalar loop
-    is semantically identical to :func:`run_on_stream`, with two wins over
-    iterating a tuple list: ``zip`` over the four parallel columns lets
-    CPython recycle the event tuple every iteration instead of keeping one
-    4-tuple per event alive, and the correctness counters accumulate in
-    locals (folded into ``metrics`` once at the end) instead of paying a
-    method call per dynamic load.  ``metrics.backend`` records which path
-    actually ran.
-    """
-    if try_run_batch(predictor, stream, metrics, warmup_loads, observer):
-        return metrics
-    predict = predictor.predict
-    update = predictor.update
-    on_branch = predictor.on_branch
-    on_call = predictor.on_call
-    on_return = predictor.on_return
-    seen_loads = 0
-    loads = predictions = correct_predictions = 0
-    speculative = correct_speculative = 0
-    metrics.backend = "python"
-
-    for tag, ip, a, b in zip(*stream.lists()):
-        if tag == 1:
-            prediction = predict(ip, b)
-            if observer is not None:
-                observer(ip, b, a, prediction)
-            seen_loads += 1
-            if seen_loads > warmup_loads:
-                loads += 1
-                correct = prediction.address == a
-                if prediction.made:
-                    predictions += 1
-                    if correct:
-                        correct_predictions += 1
-                if prediction.speculative:
-                    speculative += 1
-                    if correct:
-                        correct_speculative += 1
-            update(ip, b, a, prediction)
-        elif tag == 0:
-            on_branch(ip, bool(a))
-        elif tag == 2:
-            on_call(ip)
-        else:
-            on_return(ip)
-
-    metrics.loads += loads
-    metrics.predictions += predictions
-    metrics.correct_predictions += correct_predictions
-    metrics.speculative += speculative
-    metrics.correct_speculative += correct_speculative
-    return metrics
-
-
-def run_predictor(
-    predictor: AddressPredictor,
-    trace: Union[Trace, PredictorStream, list],
-    name: Optional[str] = None,
-    warmup_loads: int = 0,
-    instrument: bool = False,
-) -> PredictorMetrics:
-    """Evaluate ``predictor`` on ``trace`` and return fresh metrics.
-
-    ``trace`` may be a :class:`Trace` (evaluated through its columnar
-    stream), a :class:`PredictorStream`, or an already-extracted list of
-    stream tuples (useful when evaluating many predictors over one trace).
-
-    With ``instrument=True`` an attribution probe is attached to the
-    predictor tree and the result is an
-    :class:`~repro.eval.metrics.AttributionCounters` carrying the
-    per-component misprediction-cause breakdown.
-    """
-    trace_name = ""
-    suite = ""
-    if isinstance(trace, Trace):
-        stream: Union[PredictorStream, list] = trace.predictor_columns()
-        trace_name = trace.name
-        suite = trace.meta.get("suite", "")
-    else:
-        stream = trace
-    metrics: PredictorMetrics
-    probe = None
-    if instrument:
-        # Imported here: the runner itself stays telemetry-free for the
-        # (overwhelmingly common) uninstrumented path.
-        from ..telemetry.instrumentation import (
-            AttributionProbe,
-            instrument_predictor,
-        )
-
-        probe = AttributionProbe()
-        instrument_predictor(predictor, probe)
-        metrics = AttributionCounters(
-            name=name or predictor.name, trace=trace_name, suite=suite,
-        )
-    else:
-        metrics = PredictorMetrics(
-            name=name or predictor.name, trace=trace_name, suite=suite,
-        )
-    if isinstance(stream, PredictorStream):
-        run_on_columns(predictor, stream, metrics, warmup_loads)
-    else:
-        run_on_stream(predictor, stream, metrics, warmup_loads)
-    if probe is not None:
-        assert isinstance(metrics, AttributionCounters)
-        metrics.absorb_probe(probe)
-    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +82,8 @@ class SessionConfig:
     variant: str = ""
     trace: str = ""
 
-    def to_job(self) -> Any:
+    def to_job(self) -> Job:
         """The engine job this session spec corresponds to."""
-        from ..eval.engine import Job
-
         return Job(
             trace=self.trace,
             factory=self.factory,
@@ -294,14 +106,6 @@ class SessionConfig:
         return cls(overrides=dict(overrides), **known)
 
 
-def _columns_of(events: List[tuple]) -> PredictorStream:
-    """Pack a list of ``(tag, ip, a, b)`` tuples into a columnar stream."""
-    if not events:
-        return PredictorStream([], [], [], [], loads=0)
-    tag, ip, a, b = (list(col) for col in zip(*events))
-    return PredictorStream(tag, ip, a, b)
-
-
 # ---------------------------------------------------------------------------
 # The session facade
 # ---------------------------------------------------------------------------
@@ -319,11 +123,6 @@ class PredictorSession:
     def __init__(
         self, config: SessionConfig, session_id: str = ""
     ) -> None:
-        # Lazy: repro.eval.engine imports the runner shims, which import
-        # this module — resolving the factory registry at session-build
-        # time keeps the module graph acyclic.
-        from ..eval.engine import build_predictor
-
         self.config = config
         self.session_id = session_id
         self.predictor: AddressPredictor = build_predictor(config.to_job())
@@ -358,21 +157,6 @@ class PredictorSession:
         """Backend that actually ran: ``numpy`` iff a kernel dispatch did."""
         return BACKEND_NUMPY if self.kernel_feeds else BACKEND_PYTHON
 
-    def _kernel_eligible(self, observer: Optional[Callable]) -> bool:
-        """Whether this feed may go to the batch kernels.
-
-        Batch kernels replay a whole stream against an *untrained*
-        predictor, so only the very first feed of a session qualifies;
-        per-access observers force the scalar loop (same rule as
-        :func:`repro.kernels.try_run_batch`).
-        """
-        return (
-            self.feeds == 0
-            and observer is None
-            and supports_batch(self.predictor)
-            and resolve_backend() == BACKEND_NUMPY
-        )
-
     # -- the facade ----------------------------------------------------------
 
     def feed(
@@ -390,41 +174,29 @@ class PredictorSession:
             raise RuntimeError(
                 f"session {self.session_id or '<anonymous>'} is finished"
             )
-        if isinstance(events, PredictorStream):
-            stream: Optional[PredictorStream] = events
-            tuples: Optional[List[tuple]] = None
-        else:
-            stream = None
-            tuples = list(events)
-
-        records: Optional[List[PredictionRecord]] = None
-        if not self._kernel_eligible(observer):
-            record_dispatch(self.predictor, "declined")
-        else:
-            if stream is None:
-                assert tuples is not None
-                stream = _columns_of(tuples)
-            result = run_batch(
-                self.predictor, stream, self.config.warmup_loads
+        stream = (
+            events if isinstance(events, PredictorStream)
+            else _columns_of(events)
+        )
+        result = None
+        if self.feeds == 0:
+            result = try_run_batch(
+                self.predictor, stream, self.metrics,
+                self.config.warmup_loads, observer,
             )
-            if result is None:
-                record_dispatch(self.predictor, "fallback")
-            else:
-                from ..kernels import fold_metrics
-
-                record_dispatch(self.predictor, "dispatched")
-                fold_metrics(
-                    result, self.metrics, self.config.warmup_loads
-                )
-                records = batch_records(result, stream)
-                self.kernel_feeds += 1
-        if records is None:
-            captured: List[PredictionRecord] = []
+        else:
+            # Kernels replay a stream against an untrained predictor.
+            record_dispatch(self.predictor, "declined")
+        if result is not None:
+            records = batch_records(result, stream)
+            self.kernel_feeds += 1
+        else:
+            records = []
 
             def _capture(
                 ip: int, offset: int, actual: int, prediction: Any
             ) -> None:
-                captured.append((
+                records.append((
                     ip, offset, actual,
                     prediction.address if prediction.made else None,
                     prediction.speculative, prediction.source,
@@ -432,21 +204,12 @@ class PredictorSession:
                 if observer is not None:
                     observer(ip, offset, actual, prediction)
 
-            remaining_warmup = max(
-                0, self.config.warmup_loads - self.seen_loads
+            run_scalar(
+                self.predictor, stream, self.metrics,
+                max(0, self.config.warmup_loads - self.seen_loads), _capture,
             )
-            run_on_stream(
-                self.predictor,
-                tuples if tuples is not None else stream.tuples(),
-                self.metrics,
-                warmup_loads=remaining_warmup,
-                observer=_capture,
-            )
-            records = captured
         self.seen_loads += len(records)
-        self.seen_events += (
-            len(tuples) if tuples is not None else len(stream.tag)
-        )
+        self.seen_events += len(stream)
         self.feeds += 1
         self.metrics.backend = self.backend
         return records

@@ -154,7 +154,8 @@ class ShardManager:
         self._shards = [_Shard(i, self._context) for i in range(shards)]
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
-        self._tracer = tracer or Tracer(enabled=False)
+        # ``is None``, not ``or``: an enabled Tracer is falsy while empty.
+        self._tracer = Tracer(enabled=False) if tracer is None else tracer
         #: session id -> trace id, for the shard.hop spans.
         self._traces: Dict[str, Optional[str]] = {}
         self._pending_failed = global_registry().counter(

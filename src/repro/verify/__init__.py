@@ -5,7 +5,7 @@ Three layers keep the predictor implementations honest:
 * :mod:`repro.verify.oracle` — slow, dict-based reference models written
   straight from the paper's prose, sharing no code with ``predictors/``;
 * :mod:`repro.verify.differential` — replays a trace through {oracle,
-  ``run_on_stream``, ``run_on_columns``} and diffs per-access predictions,
+  ``run_on_columns``, batch kernels} and diffs per-access predictions,
   final metrics, Link Table contents and confidence state;
 * :mod:`repro.verify.fuzz` / :mod:`repro.verify.metamorphic` — adversarial
   trace generation with shrinking, plus invariant checks on transformed

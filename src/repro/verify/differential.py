@@ -1,13 +1,13 @@
-"""Differential engine: replay one trace through four implementations.
+"""Differential engine: replay one trace through three implementations.
 
 For a given *variant* (a named predictor configuration) the engine runs the
 same predictor-visible event stream through
 
-1. the spec oracle (:mod:`repro.verify.oracle`),
-2. the production predictor via :func:`repro.eval.runner.run_on_stream`,
-3. a second production instance via
-   :func:`repro.eval.runner.run_on_columns` (scalar columnar loop), and
-4. the batch-kernel path (:func:`repro.kernels.run_batch`) when the
+1. the spec oracle (:mod:`repro.verify.oracle`), entering through
+   :func:`repro.eval.runner.run_on_stream` so tuple packing stays covered,
+2. the production predictor via :func:`repro.eval.runner.run_on_columns`
+   (the scalar loop: the recording observer declines the kernels), and
+3. the batch-kernel path (:func:`repro.kernels.run_batch`) when the
    variant's predictor supports it and the numpy backend is selected,
 
 and requires all of them to be bit-identical: every per-access prediction
@@ -19,7 +19,7 @@ moment the diverging prediction was made.
 The vectorized lane is allowed to *decline* — a kernel raising
 :class:`~repro.kernels.BatchFallback` (set-associative Link Table, the
 ``unless_stride_selected`` policy) or a forced ``python`` backend simply
-drops the fourth lane, because that is exactly what the production
+drops the third lane, because that is exactly what the production
 dispatch does.  Lane absence is reported to callers via
 :func:`vectorized_lane_ran` so smoke jobs can assert the lane actually
 executed where it should.
@@ -27,7 +27,7 @@ executed where it should.
 Variants use deliberately *small* geometries — a 64-entry Load Buffer and
 a few-hundred-entry Link Table alias orders of magnitude sooner than the
 paper's 4K-entry structures, which is exactly where update-ordering bugs
-hide, and four-way replay of fuzzed traces stays cheap.
+hide, and three-way replay of fuzzed traces stays cheap.
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..eval.metrics import PredictorMetrics
-from ..serve.session import run_on_columns, run_on_stream
+from ..eval.runner import _columns_of, run_on_columns, run_on_stream
 from ..predictors.base import AddressPredictor
 from ..predictors.cap import CAPConfig, CAPPredictor
 from ..predictors.hybrid import HybridConfig, HybridPredictor
 from ..predictors.link_table import LinkTableConfig
 from ..predictors.stride import StrideConfig, StridePredictor
-from ..trace.trace import PredictorStream
 from .oracle import SpecCAP, SpecHybrid, SpecStride
 
 __all__ = [
@@ -335,19 +334,6 @@ def _recording_observer(records: List[AccessRecord]) -> Callable:
     return observe
 
 
-def _columns_of(events: Events) -> PredictorStream:
-    tags: List[int] = []
-    ips: List[int] = []
-    a: List[int] = []
-    b: List[int] = []
-    for tag, ip, ea, eb in events:
-        tags.append(tag)
-        ips.append(ip)
-        a.append(ea)
-        b.append(eb)
-    return PredictorStream(tags, ips, a, b)
-
-
 def _vectorized_lane(
     spec: VariantSpec,
     events: Events,
@@ -392,9 +378,9 @@ def vectorized_lane_ran(
     events: Events,
     backend: Optional[str] = None,
 ) -> bool:
-    """Whether the four-way replay's kernel lane executes for this input.
+    """Whether the three-way replay's kernel lane executes for this input.
 
-    Used by parity smoke jobs to assert the fourth lane is live (a replay
+    Used by parity smoke jobs to assert the third lane is live (a replay
     where every kernel silently declined would vacuously "pass").
     """
     spec = VARIANTS[variant_name]
@@ -442,7 +428,7 @@ class Divergence:
 
     variant: str
     kind: str            # "access" | "metrics" | "link_table" | "confidence"
-    paths: str           # e.g. "oracle vs stream"
+    paths: str           # e.g. "oracle vs columns"
     access_index: Optional[int]
     detail: str
     state_dumps: Dict[str, dict]
@@ -529,7 +515,7 @@ def verify_events(
     warmup_loads: int = 0,
     backend: Optional[str] = None,
 ) -> Optional[Divergence]:
-    """Replay ``events`` through all four paths; None means bit-identical.
+    """Replay ``events`` through all three paths; None means bit-identical.
 
     ``events`` follows the predictor-stream convention: ``(tag, ip, a, b)``
     rows with tag 1 = load (a=address, b=offset), 0 = branch (a=taken),
@@ -546,13 +532,6 @@ def verify_events(
         observer=_recording_observer(oracle_records),
     )
 
-    streamed = spec.production()
-    stream_records: List[AccessRecord] = []
-    stream_metrics = run_on_stream(
-        streamed, events, PredictorMetrics(), warmup_loads,
-        observer=_recording_observer(stream_records),
-    )
-
     columnar = spec.production()
     column_records: List[AccessRecord] = []
     column_metrics = run_on_columns(
@@ -562,15 +541,11 @@ def verify_events(
 
     vector = _vectorized_lane(spec, events, warmup_loads, backend)
 
-    # Per-access behaviour, pairwise against the oracle and across the
-    # production paths (the oracle diff localises spec bugs; the production
-    # pair diffs localise fast-path bugs even if both disagree with the
-    # oracle in the same way; the columns/vectorized pair isolates kernel
-    # bugs from event-decoding bugs).
+    # Per-access behaviour, pairwise: the oracle diff localises predictor
+    # bugs.  The oracle and columns lanes share the scalar loop, so only
+    # the columns/vectorized pair sees a loop bug (or a kernel bug).
     pairs = [
         ("oracle", oracle_records, spec.oracle,
-         "stream", stream_records, spec.production),
-        ("stream", stream_records, spec.production,
          "columns", column_records, spec.production),
     ]
     if vector is not None:
@@ -587,32 +562,31 @@ def verify_events(
     # Final aggregate metrics.
     by_path = {
         "oracle": (oracle_metrics, oracle),
-        "stream": (stream_metrics, streamed),
         "columns": (column_metrics, columnar),
     }
     if vector is not None:
         by_path["vectorized"] = (vector_metrics, vectorized)
-    reference = _metrics_tuple(stream_metrics)
+    reference = _metrics_tuple(column_metrics)
     for path, (metrics, _) in by_path.items():
         if _metrics_tuple(metrics) != reference:
             return Divergence(
                 variant=variant_name,
                 kind="metrics",
-                paths=f"stream vs {path}",
+                paths=f"columns vs {path}",
                 access_index=None,
                 detail=(
                     f"counters (loads, predictions, correct, speculative,"
-                    f" correct_speculative): stream={reference}"
+                    f" correct_speculative): columns={reference}"
                     f" {path}={_metrics_tuple(metrics)}"
                 ),
                 state_dumps={},
             )
 
     # Final architectural state: Link Table contents and confidence values.
-    reference_lt = sorted(_lt_dump(streamed))
-    reference_conf = _confidence_dump(streamed)
+    reference_lt = sorted(_lt_dump(columnar))
+    reference_conf = _confidence_dump(columnar)
     for path, (_, subject) in by_path.items():
-        if path == "stream":
+        if path == "columns":
             continue
         lt = sorted(_lt_dump(subject))
         if lt != reference_lt:
@@ -621,11 +595,11 @@ def verify_events(
             return Divergence(
                 variant=variant_name,
                 kind="link_table",
-                paths=f"stream vs {path}",
+                paths=f"columns vs {path}",
                 access_index=None,
                 detail=(
                     f"final LT differs: only-in-{path}={extra[:6]}"
-                    f" only-in-stream={missing[:6]}"
+                    f" only-in-columns={missing[:6]}"
                 ),
                 state_dumps={},
             )
@@ -643,9 +617,9 @@ def verify_events(
             return Divergence(
                 variant=variant_name,
                 kind="confidence",
-                paths=f"stream vs {path}",
+                paths=f"columns vs {path}",
                 access_index=None,
-                detail=f"final confidence differs (stream, {path}): {shown}",
+                detail=f"final confidence differs (columns, {path}): {shown}",
                 state_dumps={},
             )
     return None

@@ -30,7 +30,7 @@ at a specific failure hypothesis:
     A bit of everything, including repeated subsequences.
 
 Each case also draws a random *backend* (``python``/``numpy``), so the
-four-way replay alternates between running and skipping the kernel lane —
+three-way replay alternates between running and skipping the kernel lane —
 any divergence between a kernelised case and its scalar twin shows up as
 a columns-vs-vectorized mismatch.
 
@@ -313,8 +313,8 @@ def run_fuzz(
     Fully deterministic in ``seed``: case ``i`` derives its own sub-seed,
     variant, profile and backend from the master stream, so one failing
     case can be reproduced independently of the rest of the run.  The
-    backend draw alternates the replay between three-way (scalar only)
-    and four-way (kernel lane live) so the two dispatch paths are both
+    backend draw alternates the replay between two-way (scalar only)
+    and three-way (kernel lane live) so the two dispatch paths are both
     fuzzed; pass ``backends=("numpy",)`` to pin the kernel lane on.
     """
     master = random.Random(seed)

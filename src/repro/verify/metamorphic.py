@@ -40,7 +40,7 @@ from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..eval.metrics import PredictorMetrics
-from ..serve.session import run_on_stream
+from ..eval.runner import run_on_stream
 from ..predictors.cap import CAPConfig, CAPPredictor
 from ..predictors.link_table import LinkTableConfig
 from ..predictors.stride import StrideConfig, StridePredictor

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..eval.metrics import PredictorMetrics
-from ..serve.session import run_on_stream
+from ..eval.runner import run_on_stream
 from .differential import VARIANTS
 from .fuzz import PROFILES, generate_events, shrink_events
 from .oracle import SpecHybrid, _CapCore, _CFI, _LRUSets, _StrideCore

@@ -35,7 +35,7 @@ class OraclePrediction:
 
     Carries exactly the fields the runner loops and the differential
     records read, so an oracle can be driven by the *production*
-    ``run_on_stream`` loop unchanged.
+    evaluation loop unchanged.
     """
 
     __slots__ = ("address", "speculative", "source", "ghr", "info")

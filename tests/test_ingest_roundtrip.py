@@ -11,7 +11,7 @@ Three layers of guarantee, each fuzzed with Hypothesis:
   through the adapters;
 * **evaluation level** — a fig5-style cell (stride / CAP / hybrid
   metrics) is equal on the original and the round-tripped trace, and the
-  ingested stream passes the four-way differential harness
+  ingested stream passes the three-way differential harness
   (:func:`repro.verify.differential.verify_events`).
 """
 
@@ -25,9 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.metrics import PredictorMetrics
+from repro.eval.runner import run_predictor
 from repro.ingest import IngestRecord, get_format, read_path, records_to_trace
 from repro.ingest.records import KIND_FETCH, KIND_LOAD, KIND_STORE
-from repro.serve.session import run_predictor
 from repro.verify.differential import VARIANTS, verify_events
 
 GOLDEN = Path(__file__).parent / "ingest_fixtures" / "golden"
@@ -172,7 +172,7 @@ def test_fig5_cell_equal_after_roundtrip(records):
     variant=st.sampled_from(["stride", "cap", "hybrid"]),
 )
 def test_ingested_stream_passes_differential(addrs, variant):
-    """The four-way differential harness accepts ingested event streams."""
+    """The three-way differential harness accepts ingested event streams."""
     text = "".join(f"0x{a:x} READ {i * 10}\n" for i, a in enumerate(addrs))
     records = get_format("dramsim").read(text.encode())
     trace = records_to_trace(records, "fuzz", format_name="dramsim")

@@ -6,7 +6,7 @@ randomised stream through the scalar ``run_on_columns`` reference and the
 batch kernel path, then compares metrics, per-access observer records,
 control-flow state, full table dumps (tags, LRU stamps, confidence, CFI
 machines, Link Table entries) and attribution-probe counters.  The
-four-way differential harness (``tests/test_verify.py``) covers the same
+three-way differential harness (``tests/test_verify.py``) covers the same
 ground on the registered variants; this file pins the kernel layer's own
 API surface — dispatch gates, fallbacks, warm-up folding — and the
 segmented-array primitives the kernels are built from.
@@ -19,7 +19,7 @@ import pytest
 
 from repro.common.bitops import fold_xor
 from repro.eval.metrics import PredictorMetrics
-from repro.serve.session import run_on_columns
+from repro.eval.runner import run_on_columns, run_on_stream
 from repro.kernels import (
     BACKEND_ENV,
     BACKEND_NUMPY,
@@ -42,6 +42,7 @@ from repro.kernels.segops import (
     seg_streak_before,
     segment_starts,
 )
+from repro.obs.metrics import global_registry
 from repro.predictors.cap import CAPConfig, CAPPredictor
 from repro.predictors.gshare_address import (
     HISTORY_CALL_PATH,
@@ -52,6 +53,7 @@ from repro.predictors.hybrid import HybridConfig, HybridPredictor
 from repro.predictors.last_address import LastAddressConfig, LastAddressPredictor
 from repro.predictors.link_table import LinkTableConfig
 from repro.predictors.stride import StrideConfig, StridePredictor
+from repro.serve.session import PredictorSession, SessionConfig
 from repro.telemetry.instrumentation import AttributionProbe, instrument_predictor
 from repro.trace.trace import PredictorStream
 
@@ -441,6 +443,64 @@ class TestDispatchGates:
         assert m_fast.backend == BACKEND_NUMPY
         assert m_ref.backend == BACKEND_PYTHON
         assert metrics_tuple(m_fast) == metrics_tuple(m_ref)
+
+
+#: A set-associative Link Table: the CAP kernel declines it with
+#: BatchFallback.
+ASSOC_LT = LinkTableConfig(entries=64, ways=2, tag_bits=4, pf_bits=2)
+
+
+def _tally(action):
+    """Dispatch outcomes ``action`` records in the process registry."""
+    before = global_registry().snapshot()["counters"]
+    action()
+    after = global_registry().snapshot()["counters"]
+    return {
+        name.rsplit(".", 1)[1]: after[name] - before.get(name, 0)
+        for name in after
+        if name.startswith("kernels.") and after[name] != before.get(name, 0)
+    }
+
+
+class TestDispatchTally:
+    """Each ``run_on_columns`` call and each session feed tallies one
+    dispatch outcome."""
+
+    @pytest.mark.parametrize("backend, lt, outcome", [
+        (BACKEND_PYTHON, _lt(entries=64), "declined"),
+        (BACKEND_NUMPY, _lt(entries=64), "dispatched"),
+        (BACKEND_NUMPY, ASSOC_LT, "fallback"),
+    ])
+    def test_each_run_records_one_outcome(self, monkeypatch, backend, lt,
+                                          outcome):
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        stream = make_stream(random.Random(5), 300, 9)
+
+        def predictor():
+            return CAPPredictor(CAPConfig(lb_entries=64, lb_ways=2, lt=lt))
+
+        assert _tally(lambda: run_on_columns(
+            predictor(), stream, PredictorMetrics())) == {outcome: 1}
+        assert _tally(lambda: run_on_stream(
+            predictor(), stream.tuples(), PredictorMetrics())) == {outcome: 1}
+
+    @pytest.mark.parametrize("lt, first", [
+        (_lt(entries=64), "dispatched"),
+        (ASSOC_LT, "fallback"),
+    ])
+    def test_session_feeds_record_one_outcome(self, monkeypatch, lt, first):
+        monkeypatch.setenv(BACKEND_ENV, BACKEND_NUMPY)
+        events = make_stream(random.Random(6), 300, 9).tuples()
+        session = PredictorSession(SessionConfig(factory="cap", overrides={
+            "lb_entries": 64, "lb_ways": 2, "lt": lt,
+        }))
+        # Kernels may only run on the first feed; a first feed that falls
+        # back records the fallback alone, not a decline as well.
+        assert _tally(lambda: session.feed(events[:100])) == {first: 1}
+        for start in (100, 200):
+            assert _tally(
+                lambda: session.feed(events[start:start + 100])
+            ) == {"declined": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ FIXTURE_PATHS = {
     "R002": "tests/lint_fixtures/fixture.py",
     "R003": "src/repro/predictors/fixture.py",
     "R004": "src/repro/eval/fixture.py",
-    "R005": "src/repro/eval/fixture.py",
     "R006": "src/repro/predictors/fixture.py",
     "R007": "src/repro/serve/fixture.py",
     "R008": "src/repro/predictors/fixture.py",
@@ -96,12 +95,6 @@ class TestFixturePairs:
         assert any("lambda" in m for m in messages)
         assert any("'local_factory'" in m for m in messages)
         assert any("'scale'" in m for m in messages)
-
-    def test_r005_reports_the_lacking_function(self):
-        findings = _lint_fixture("R005", "bad")
-        assert len(findings) == 1
-        assert findings[0].symbol == "run_on_columns"
-        assert "on_branch" in findings[0].message
 
     def test_r006_reports_each_contract_slice(self):
         findings = _lint_fixture("R006", "bad")
@@ -163,9 +156,15 @@ class TestFixturePairs:
         messages = [f.message for f in findings]
         assert any("cursor + step" in m for m in messages)
         assert any("'mixed'" in m for m in messages)
-        # The flagged statements mention no address-like name: R003's
-        # syntactic filter cannot see them, only the dataflow can.
+        # Every finding carries the def->use trace back to its source.
         assert all(f.trace for f in findings)
+
+    def test_r008_checks_functions_without_address_parameters(self):
+        # Sources here are an attribute, a call result and an unpacked
+        # tuple; no parameter is address-named.
+        symbols = {f.symbol for f in _lint_fixture("R008", "bad")}
+        for method in ("advance", "probe", "span"):
+            assert f"UnparameterisedPredictor.{method}" in symbols
 
     def test_r009_reports_shift_loop_and_width_overflow(self):
         findings = _lint_fixture("R009", "bad")
@@ -296,9 +295,9 @@ class TestSuppressions:
 
 
 class TestFrameworkPlumbing:
-    def test_all_ten_rules_registered(self):
+    def test_all_nine_rules_registered(self):
         assert sorted(all_rules()) == [
-            "R001", "R002", "R003", "R004", "R005",
+            "R001", "R002", "R003", "R004",
             "R006", "R007", "R008", "R009", "R010",
         ]
 

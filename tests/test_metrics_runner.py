@@ -1,5 +1,11 @@
 """Tests for evaluation metrics, aggregation and the runner."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +17,7 @@ from repro.eval.metrics import (
     SuiteMetrics,
     aggregate_by_suite,
 )
-from repro.serve.session import run_on_columns, run_on_stream, run_predictor
+from repro.eval.runner import run_on_columns, run_on_stream, run_predictor
 from repro.predictors import LastAddressPredictor
 from repro.predictors.base import AddressPredictor, Prediction
 from repro.trace.trace import PredictorStream
@@ -227,7 +233,7 @@ class TestRunner:
 
 
 class TestObserverParity:
-    """The observer hook must fire identically on both evaluation paths."""
+    """The observer hook must fire identically through both entry points."""
 
     #: mixed stream: loads, a branch, a call and a return interleaved
     EVENTS = [
@@ -274,3 +280,36 @@ class TestObserverParity:
         )
         # First load: table is still empty at observation time.
         assert seen == [False, True]
+
+
+class TestRunnerLayout:
+    """The runner owns the evaluation loop; offline code needs no server."""
+
+    def test_offline_packages_load_no_serving_module(self):
+        code = (
+            "import sys\n"
+            "import repro.eval, repro.eval.engine, repro.verify\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.serve')))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_entry_points_do_not_warn(self):
+        stream = [(1, 0x100, 0x2000, 0), (0, 0x200, 1, 0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_on_stream(LastAddressPredictor(), stream, PredictorMetrics())
+            run_on_columns(
+                LastAddressPredictor(),
+                PredictorStream(*map(list, zip(*stream))),
+                PredictorMetrics(),
+            )
+            run_predictor(LastAddressPredictor(), stream)
+        assert not [w for w in caught if w.category is DeprecationWarning]

@@ -219,6 +219,11 @@ class TestAdminEndToEnd:
                 name.startswith("kernels.")
                 for name in metrics["counters"]
             ), metrics["counters"]
+            # The manager records one shard.hop span per round trip.
+            spans = await _scrape(server.admin_port, "spans")
+            assert any(
+                e["name"] == "shard.hop" for e in spans["traceEvents"]
+            )
             await client.close()
             await server.shutdown()
 

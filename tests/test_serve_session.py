@@ -6,21 +6,50 @@ whatever a client receives over the wire must equal what an offline
 both backends, and regardless of how the stream is chunked into feeds.
 """
 
+import numpy as np
 import pytest
 
 from repro.eval.metrics import PredictorMetrics
-from repro.serve.session import (
-    PredictorSession,
-    SessionConfig,
-    run_on_stream,
-)
+from repro.eval.runner import run_on_stream
+from repro.serve.session import PredictorSession, SessionConfig
+from repro.trace.trace import PredictorStream
 from repro.verify.fuzz import generate_events
 
 N_EVENTS = 600
 
+#: Feed split points: even 150-event chunks, and uneven cuts that leave
+#: one-event feeds at both ends of the stream.
+EVEN_CUTS = tuple(range(150, N_EVENTS, 150))
+UNEVEN_CUTS = (1, 2, 151, 449, N_EVENTS - 1)
+
+#: (backend, feed form, cuts); tuple-list feeds at even cuts keep the
+#: bare backend id.
+CHUNKED_CASES = [
+    pytest.param(backend, form, cuts, id="-".join([backend, *extra]))
+    for backend in ("python", "numpy")
+    for form, cuts, extra in (
+        ("tuples", EVEN_CUTS, []),
+        ("stream", EVEN_CUTS, ["stream"]),
+        ("tuples", UNEVEN_CUTS, ["uneven"]),
+        ("stream", UNEVEN_CUTS, ["stream", "uneven"]),
+    )
+]
+
 
 def _events(profile="mixed", seed=0, n=N_EVENTS):
     return [tuple(event) for event in generate_events(profile, seed, n)]
+
+
+def _feeds(events, form, cuts):
+    """Split ``events`` at ``cuts``; ``stream`` packs int64 columns."""
+    bounds = (0, *cuts, len(events))
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk = events[start:stop]
+        if form == "stream":
+            chunk = PredictorStream(*(
+                np.asarray(col, dtype=np.int64) for col in zip(*chunk)
+            ))
+        yield chunk
 
 
 def offline_records(factory, events, warmup=0, overrides=None):
@@ -66,16 +95,19 @@ class TestParity:
         assert served == expected
         assert _metric_tuple(session.finish()) == _metric_tuple(metrics)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_chunked_feeds_match_offline(self, monkeypatch, backend):
-        # Chunking must be invisible: first feed may take the kernel
-        # path, later feeds continue scalar on the trained predictor.
+    @pytest.mark.parametrize("backend, form, cuts", CHUNKED_CASES)
+    def test_chunked_feeds_match_offline(
+        self, monkeypatch, backend, form, cuts
+    ):
+        # Chunking and feed form must be invisible: first feed may take
+        # the kernel path, later feeds continue scalar on the trained
+        # predictor.
         monkeypatch.setenv("REPRO_BACKEND", backend)
         events = _events("rds_walk", seed=7)
         session = PredictorSession(SessionConfig(factory="hybrid"))
         served = []
-        for start in range(0, len(events), 150):
-            served.extend(session.feed(events[start : start + 150]))
+        for chunk in _feeds(events, form, cuts):
+            served.extend(session.feed(chunk))
         expected, metrics = offline_records("hybrid", events)
         assert served == expected
         assert _metric_tuple(session.finish()) == _metric_tuple(metrics)

@@ -1,7 +1,7 @@
 """Instrumentation layer: probes, manifests, schema, profiler, stats.
 
-The load-bearing property is R005-style parity: an instrumented predictor
-must report byte-identical attribution counters whether it is driven by
+The load-bearing property is parity: an instrumented predictor must
+report byte-identical attribution counters whether it is driven through
 ``run_on_stream``, ``run_on_columns``, or the engine (serial or pooled).
 """
 
