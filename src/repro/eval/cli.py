@@ -632,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="AST-based simulator-correctness linter (R001-R006)",
+        help="AST-based simulator-correctness linter (see --list-rules)",
     )
     from ..lint.cli import add_lint_arguments
 

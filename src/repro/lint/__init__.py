@@ -21,17 +21,18 @@ Architecture
   R002  determinism (unseeded RNG, wall clock, set iteration,
         environment reads outside repro.eval.config)
   R003  bit-width hygiene (unmasked address/history arithmetic)
-  R004  engine picklability (lambdas/local defs in Job payloads)
-  R006  batch-kernel contract (predict/update/supports_batch)
   R007  await atomicity (check-then-act across ``await``)
-  R008  bit-width hygiene through dataflow (renames, calls)
   R009  numpy int64 overflow in the kernels
   R010  ingest error-message and exit-code hygiene
   ====  =====================================================
 
-  R005 is retired and its id is not reused.
+  R004, R005, R006 and R008 are retired and their ids are not reused;
+  direct tests check the properties R004 (Job picklability) and R006
+  (the batch-kernel trio) guarded.
 
-* :mod:`repro.lint.reporters` — text and JSON output.
+* :mod:`repro.lint.flow` — per-function CFGs, reaching definitions and
+  the bit-width lattice behind R007 and R009.
+* :mod:`repro.lint.reporters` — text, JSON and SARIF output.
 * :mod:`repro.lint.cli` — the ``python -m repro lint`` entry point.
 
 See ``docs/static-analysis.md`` for the full rule catalogue and the

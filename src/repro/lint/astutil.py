@@ -7,10 +7,8 @@ from typing import Iterator, List, Optional, Tuple
 
 __all__ = [
     "attr_chain",
-    "call_name",
     "iter_method_defs",
     "self_attr",
-    "walk_statements",
 ]
 
 
@@ -43,16 +41,6 @@ def self_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
-def call_name(node: ast.Call) -> Optional[str]:
-    """The called name: ``Job(...)`` -> ``"Job"``, ``m.Job(...)`` -> ``"Job"``."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def iter_method_defs(
     class_def: ast.ClassDef,
 ) -> Iterator[ast.FunctionDef]:
@@ -60,10 +48,3 @@ def iter_method_defs(
     for statement in class_def.body:
         if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield statement  # type: ignore[misc]
-
-
-def walk_statements(node: ast.AST) -> Iterator[ast.stmt]:
-    """Every statement node under ``node`` (inclusive when applicable)."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.stmt):
-            yield child

@@ -40,17 +40,14 @@ _SUPPRESS_RE = re.compile(
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One hop of a finding's def→use / control-flow trace."""
+    """One hop of a finding's def→use / control-flow trace (always in
+    the finding's own file: every analysis is per-function)."""
 
-    line: int            # 1-based line in ``path``
+    line: int            # 1-based line in the finding's file
     note: str            # "read of self._sessions_active", "await ..."
-    path: str = ""       # defaults to the finding's own path
 
     def as_dict(self) -> dict:
-        payload: dict = {"line": self.line, "note": self.note}
-        if self.path:
-            payload["path"] = self.path
-        return payload
+        return {"line": self.line, "note": self.note}
 
 
 @dataclass(frozen=True)
@@ -160,23 +157,6 @@ class ModuleInfo:
         parts = self.relpath.split("/")
         return any(segment in parts for segment in segments)
 
-    def imports_module(self, suffix: str) -> bool:
-        """True when the module imports ``suffix`` (matched against the
-        end of absolute names and the tail of relative ``from`` imports)."""
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == suffix or alias.name.endswith(
-                        "." + suffix
-                    ):
-                        return True
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                if node.module == suffix or node.module.endswith(
-                    "." + suffix
-                ):
-                    return True
-        return False
-
     def segment(self, node: ast.AST) -> str:
         """Best-effort source text of ``node`` (for messages)."""
         try:
@@ -190,28 +170,14 @@ class Rule:
 
     Subclasses set ``id``/``title``/``rationale`` and implement
     :meth:`check`.  Registration happens via the :func:`register`
-    decorator, which keys the registry by ``id``.
-
-    Rules that reason across modules set ``needs_project = True``; the
-    drivers then call :meth:`bind` with a ``repro.lint.flow.Project``
-    and ``CallGraph`` spanning the whole run before any module is
-    checked.  An unbound rule (direct :func:`lint_module` use, fixture
-    runs) must degrade to single-module reasoning — never fail.
+    decorator, which keys the registry by ``id``.  A rule sees one
+    module at a time; nothing it reports depends on which other files
+    share the run.
     """
 
     id: str = ""
     title: str = ""
     rationale: str = ""
-    needs_project: bool = False
-
-    def __init__(self) -> None:
-        self.project = None
-        self.callgraph = None
-
-    def bind(self, project, callgraph) -> None:
-        """Attach the cross-module context for this run."""
-        self.project = project
-        self.callgraph = callgraph
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError
@@ -313,32 +279,8 @@ def lint_source(
     relpath: str = "<string>",
     rules: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint an in-memory source string under a (possibly virtual) path.
-
-    Flow rules get a single-module project — cross-module resolution
-    degrades gracefully, which is exactly what fixture tests exercise.
-    """
-    module = ModuleInfo(relpath, source)
-    selected = get_rules(rules)
-    _bind_project(selected, [module])
-    return lint_module(module, selected)
-
-
-def _bind_project(rules: Sequence[Rule], modules: List[ModuleInfo]) -> None:
-    """Build the flow-layer project/call-graph for rules that want one.
-
-    Imported lazily — ``repro.lint.flow`` imports this module, and most
-    runs (single syntactic rule, ``--list-rules``) never need the graph.
-    """
-    if not any(rule.needs_project for rule in rules):
-        return
-    from .flow import CallGraph, Project  # local import: cycle + cost
-
-    project = Project(modules)
-    graph = CallGraph(project)
-    for rule in rules:
-        if rule.needs_project:
-            rule.bind(project, graph)
+    """Lint an in-memory source string under a (possibly virtual) path."""
+    return lint_module(ModuleInfo(relpath, source), get_rules(rules))
 
 
 def _iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -362,7 +304,6 @@ def lint_paths(
     selected = get_rules(rules)
     base = (root or Path.cwd()).resolve()
     result = LintResult()
-    modules: List[ModuleInfo] = []
     for file_path in _iter_python_files(Path(p) for p in paths):
         resolved = file_path.resolve()
         try:
@@ -371,15 +312,11 @@ def lint_paths(
             relpath = str(file_path)
         try:
             source = resolved.read_text(encoding="utf-8")
-            modules.append(ModuleInfo(relpath, source))
+            module = ModuleInfo(relpath, source)
         except (OSError, SyntaxError) as exc:
             result.errors.append(f"{relpath}: {exc}")
             continue
         result.files_checked += 1
-    # Two-pass: parse everything first so cross-module rules see the
-    # whole file set, then check each module against the bound rules.
-    _bind_project(selected, modules)
-    for module in modules:
         result.findings.extend(lint_module(module, selected))
     return result
 

@@ -1,71 +1,39 @@
-"""Project-wide dataflow analyses beneath the lint rule registry.
+"""Per-function dataflow analyses beneath the lint rule registry.
 
-The PR 4 rules are per-node and syntactic: each looks at one AST in
-isolation.  Two historical bug classes are invisible at that altitude —
-cross-call state leaks (the ``PipelinedPredictor.reset()`` family) and
-value-range hazards (the int64 overflow that hung the numpy
-``fold_xor`` loop on addresses at or above ``2**63``).  This package is
-the analysis layer that makes those visible statically:
+The syntactic rules look at one statement at a time.  Two historical
+bug classes live *between* statements: check-then-act races across an
+``await`` (the serving layer's admission race) and value-range hazards
+(the int64 overflow that hung the numpy ``fold_xor`` loop on addresses
+at or above ``2**63``).  This package is the analysis layer that makes
+those visible statically, one function at a time:
 
-* :mod:`project`  — module resolution over the linted file set: which
-  ``repro.*`` module does a relpath denote, what does each module
-  import, where is each top-level function/class defined.
-* :mod:`callgraph` — best-effort call graph on top of the project:
-  direct calls, imported names, ``self.method()``, class constructors.
-  Unresolved edges are *recorded*, not guessed — consumers degrade to
-  intraprocedural answers when resolution fails.
 * :mod:`cfg`      — per-function control-flow graph at statement
   granularity, with await/yield suspension points marked; supports
-  "is there a path from A to B crossing a suspension point" queries.
-* :mod:`dataflow` — reaching definitions for locals and attribute
-  chains over a CFG, producing def→use chains that findings carry as
-  their :class:`~repro.lint.core.TraceStep` trace.
+  "is there a path from A to B crossing a suspension point" queries
+  (R007).
+* :mod:`dataflow` — attribute read/write events and reaching
+  definitions over a CFG; the def→use chains become the
+  :class:`~repro.lint.core.TraceStep` trace findings carry (R007, R009).
 * :mod:`intervals` — a bit-width lattice for int64/numpy expressions
   (width in bits plus a non-negativity flag), with widening so
-  loop-carried growth degrades to "unknown" instead of diverging.
+  loop-carried growth degrades to "unknown" instead of diverging (R009).
 
 Everything here is pure AST consumption: no imports of the analyzed
-code, no side effects, deterministic output for a given file set.
+code, no side effects, deterministic output for a given function.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from .callgraph import CallGraph
 from .cfg import CFG, build_cfg
-from .dataflow import ReachingDefs, attribute_events, location_of
+from .dataflow import ReachingDefs, attribute_events
 from .intervals import Width, WidthEnv, expression_width
-from .project import FunctionInfo, Project
 
 __all__ = [
     "CFG",
-    "CallGraph",
-    "FunctionInfo",
-    "Project",
     "ReachingDefs",
     "Width",
     "WidthEnv",
     "attribute_events",
     "build_cfg",
     "expression_width",
-    "local_context",
-    "location_of",
 ]
-
-
-def local_context(
-    module,
-    project: Optional[Project] = None,
-    callgraph: Optional[CallGraph] = None,
-) -> Tuple[Project, CallGraph]:
-    """The (project, call graph) a rule should reason with.
-
-    Bound rules pass the run-wide pair straight through; unbound rules
-    (direct ``lint_module`` use, fixture runs) get a fresh single-module
-    project — same analyses, intraprocedural answers.
-    """
-    if project is not None and callgraph is not None:
-        return project, callgraph
-    fresh = Project([module])
-    return fresh, CallGraph(fresh)

@@ -6,48 +6,28 @@ Two consumers, two views:
   and write of an attribute chain (``self._sessions_active``,
   ``self.stats.timeouts``) with its statement, so it can ask the CFG
   whether a read→write pair straddles a suspension point.
-* The bit-width rules (R008/R009) need *reaching definitions* for local
-  names: which assignments may produce the value a given use consumes,
-  so taint and widths flow through renames instead of relying on what a
-  variable happens to be called — and so findings can print the actual
-  def→use chain instead of a bare line number.
+* The int64 overflow rule (R009) needs *reaching definitions* for
+  local names: which assignments may produce the value a given use
+  consumes, so its findings can print the actual def→use chain back to
+  the unbounded definition instead of a bare line number.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
+from ..astutil import attr_chain
 from .cfg import CFG, scan_roots
 
 __all__ = [
     "AttributeEvent",
     "ReachingDefs",
     "attribute_events",
-    "location_of",
-    "read_locations",
-    "write_locations",
 ]
 
 Location = Tuple[str, ...]
-
-
-def location_of(node: ast.AST) -> Optional[Location]:
-    """Attribute chain of a pure name/attribute expression.
-
-    ``self.stats.timeouts`` → ``("self", "stats", "timeouts")``;
-    ``None`` for anything passing through a call or subscript.
-    """
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return tuple(reversed(parts))
-    return None
 
 
 @dataclass(frozen=True)
@@ -103,13 +83,13 @@ def attribute_events(
             else "write"
         )
         for target in targets:
-            location = location_of(target)
+            location = attr_chain(target)
             if location is None:
                 # Subscript / starred target: charge the base chain.
                 inner = target
                 while isinstance(inner, (ast.Subscript, ast.Starred)):
                     inner = inner.value
-                location = location_of(inner)
+                location = attr_chain(inner)
             if location is None or len(location) < 2:
                 continue
             if roots is not None and location[0] not in roots:
@@ -134,7 +114,7 @@ def attribute_events(
             parent = getattr(node, "_lint_parent", None)
             if isinstance(parent, ast.Attribute):
                 continue  # only the outermost chain node reports
-            location = location_of(node)
+            location = attr_chain(node)
             if location is None or len(location) < 2:
                 continue
             if roots is not None and location[0] not in roots:
@@ -143,22 +123,6 @@ def attribute_events(
                 AttributeEvent(statement, location, "read", node)
             )
     return events
-
-
-def read_locations(events: List[AttributeEvent]) -> Dict[Location, List[AttributeEvent]]:
-    table: Dict[Location, List[AttributeEvent]] = {}
-    for event in events:
-        if event.kind == "read":
-            table.setdefault(event.location, []).append(event)
-    return table
-
-
-def write_locations(events: List[AttributeEvent]) -> Dict[Location, List[AttributeEvent]]:
-    table: Dict[Location, List[AttributeEvent]] = {}
-    for event in events:
-        if event.kind in ("write", "readwrite"):
-            table.setdefault(event.location, []).append(event)
-    return table
 
 
 @dataclass(frozen=True)
@@ -294,9 +258,6 @@ class ReachingDefs:
             if self._all_defs[def_id].name == name
         ]
 
-    def is_parameter_def(self, definition: _Definition) -> bool:
-        return definition.value is None and definition.statement is self.cfg.func
-
     def chain(
         self, statement: ast.stmt, name: str, depth: int = 4
     ) -> List[_Definition]:
@@ -331,10 +292,3 @@ class ReachingDefs:
             current_stmt = definition.statement
             current_name = definition.value.id
         return steps
-
-
-def iter_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    """Every function/method definition in a module tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

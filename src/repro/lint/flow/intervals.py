@@ -25,15 +25,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from .cfg import CFG, build_cfg
+from .cfg import build_cfg
 
 __all__ = ["Width", "WidthEnv", "expression_width", "TOP"]
-
-#: Callback for interprocedural width summaries: given a Call node,
-#: return the callee's return width, or None to stay conservative.
-CallWidth = Callable[[ast.Call, "Env"], Optional["Width"]]
 
 Env = Dict[str, "Width"]
 
@@ -137,11 +133,7 @@ def _const_width(value: int) -> Width:
     return Width(None, False)
 
 
-def expression_width(
-    expr: ast.AST,
-    env: Env,
-    call_width: Optional[CallWidth] = None,
-) -> Width:
+def expression_width(expr: ast.AST, env: Env) -> Width:
     """Abstract width of an integer expression under ``env``."""
     constant = _const_int(expr)
     if constant is not None:
@@ -151,32 +143,30 @@ def expression_width(
     if isinstance(expr, ast.Subscript):
         # Array elements inhabit the array's range; boolean / fancy
         # indexing never widens values.
-        return expression_width(expr.value, env, call_width)
+        return expression_width(expr.value, env)
     if isinstance(expr, ast.BinOp):
-        return _binop_width(expr, env, call_width)
+        return _binop_width(expr, env)
     if isinstance(expr, ast.UnaryOp):
         if isinstance(expr.op, ast.Not):
             return BOOL
         if isinstance(expr.op, ast.USub):
-            inner = expression_width(expr.operand, env, call_width)
+            inner = expression_width(expr.operand, env)
             return Width(inner.bits, False)
         return TOP  # ~x flips sign for nonneg x
     if isinstance(expr, (ast.Compare, ast.BoolOp)):
         return BOOL
     if isinstance(expr, ast.IfExp):
-        return expression_width(expr.body, env, call_width).join(
-            expression_width(expr.orelse, env, call_width)
+        return expression_width(expr.body, env).join(
+            expression_width(expr.orelse, env)
         )
     if isinstance(expr, ast.Call):
-        return _call_width(expr, env, call_width)
+        return _call_width(expr, env)
     return TOP
 
 
-def _binop_width(
-    expr: ast.BinOp, env: Env, call_width: Optional[CallWidth]
-) -> Width:
-    left = expression_width(expr.left, env, call_width)
-    right = expression_width(expr.right, env, call_width)
+def _binop_width(expr: ast.BinOp, env: Env) -> Width:
+    left = expression_width(expr.left, env)
+    right = expression_width(expr.right, env)
     op = expr.op
     if isinstance(op, ast.BitAnd):
         # x & m fits in min(width) bits; a known-width side also proves
@@ -236,13 +226,7 @@ def _binop_width(
     return TOP
 
 
-def _call_width(
-    expr: ast.Call, env: Env, call_width: Optional[CallWidth]
-) -> Width:
-    if call_width is not None:
-        summary = call_width(expr, env)
-        if summary is not None:
-            return summary
+def _call_width(expr: ast.Call, env: Env) -> Width:
     tail = _call_tail(expr)
     if tail in _MASKING_CALLS and len(expr.args) >= 2:
         width_arg = _const_int(expr.args[1])
@@ -252,15 +236,15 @@ def _call_width(
     if tail in _NONNEG_CALLS:
         return Width(None, True)
     if tail in _TRANSPARENT_CALLS and len(expr.args) >= 1:
-        return expression_width(expr.args[0], env, call_width)
+        return expression_width(expr.args[0], env)
     if tail in _TRANSPARENT_CALLS and isinstance(expr.func, ast.Attribute):
         # x.copy() / x.astype(...) — width of the receiver.
-        return expression_width(expr.func.value, env, call_width)
+        return expression_width(expr.func.value, env)
     if tail in ("zeros", "zeros_like", "empty_like"):
         return Width(1, True)
     if tail in ("maximum", "minimum", "where"):
         widths = [
-            expression_width(arg, env, call_width)
+            expression_width(arg, env)
             for arg in expr.args[-2:]
         ]
         if widths:
@@ -269,16 +253,16 @@ def _call_width(
                 joined = joined.join(width)
             return joined
     if tail in ("min", "max") and expr.args:
-        joined = expression_width(expr.args[0], env, call_width)
+        joined = expression_width(expr.args[0], env)
         for arg in expr.args[1:]:
-            joined = joined.join(expression_width(arg, env, call_width))
+            joined = joined.join(expression_width(arg, env))
         if tail == "min" and any(
-            expression_width(a, env, call_width).known for a in expr.args
+            expression_width(a, env).known for a in expr.args
         ):
             best = min(
-                (expression_width(a, env, call_width).bits
+                (expression_width(a, env).bits
                  for a in expr.args
-                 if expression_width(a, env, call_width).known),
+                 if expression_width(a, env).known),
             )
             return Width(best, joined.nonneg)
         return joined
@@ -289,28 +273,18 @@ class WidthEnv:
     """Per-function width environments, solved to fixpoint over the CFG.
 
     ``at(statement)`` is the environment *entering* the statement.
-    Parameters start at ``TOP`` unless the caller seeds them (e.g. from
-    an interprocedural summary).  Subscript stores weak-update the base
-    name (join) — numpy in-place mutation; plain name stores strong-
-    update.
+    Parameters start at ``TOP``: a kernel must be safe for any caller.
+    Subscript stores weak-update the base name (join) — numpy in-place
+    mutation; plain name stores strong-update.
     """
 
-    def __init__(
-        self,
-        func: ast.AST,
-        seed: Optional[Env] = None,
-        call_width: Optional[CallWidth] = None,
-        cfg: Optional[CFG] = None,
-    ) -> None:
-        self.cfg = cfg if cfg is not None else build_cfg(func)
-        self.call_width = call_width
+    def __init__(self, func: ast.AST) -> None:
+        self.cfg = build_cfg(func)
         entry_env: Env = {}
         args = getattr(func, "args", None)
         if args is not None:
             for arg in args.posonlyargs + args.args + args.kwonlyargs:
                 entry_env[arg.arg] = TOP
-        if seed:
-            entry_env.update(seed)
         self._entry_env = entry_env
         self._in_envs: List[Env] = [
             {} for _ in self.cfg.nodes
@@ -346,15 +320,11 @@ class WidthEnv:
 
     def _transfer(self, statement: ast.stmt, env: Env) -> None:
         if isinstance(statement, ast.Assign):
-            width = expression_width(
-                statement.value, env, self.call_width
-            )
+            width = expression_width(statement.value, env)
             for target in statement.targets:
                 self._store(target, width, env)
         elif isinstance(statement, ast.AnnAssign) and statement.value:
-            width = expression_width(
-                statement.value, env, self.call_width
-            )
+            width = expression_width(statement.value, env)
             self._store(statement.target, width, env)
         elif isinstance(statement, ast.AugAssign):
             equivalent = ast.BinOp(
@@ -362,7 +332,7 @@ class WidthEnv:
                 op=statement.op,
                 right=statement.value,
             )
-            width = expression_width(equivalent, env, self.call_width)
+            width = expression_width(equivalent, env)
             self._store(statement.target, width, env)
         elif isinstance(statement, (ast.For, ast.AsyncFor)):
             width = TOP
@@ -399,8 +369,3 @@ class WidthEnv:
         if node is None:
             return dict(self._entry_env)
         return self._in_envs[node.index]
-
-    def width_at(self, statement: ast.stmt, expr: ast.AST) -> Width:
-        return expression_width(
-            expr, self.at(statement), self.call_width
-        )

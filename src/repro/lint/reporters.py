@@ -40,8 +40,9 @@ def render_text(result: LintResult, show_suppressed: bool = False) -> str:
             continue
         lines.append(finding.format())
         for step in finding.trace:
-            where = f"{step.path or finding.path}:{step.line}"
-            lines.append(f"    trace: {where}  {step.note}")
+            lines.append(
+                f"    trace: {finding.path}:{step.line}  {step.note}"
+            )
     for error in result.errors:
         lines.append(f"error: {error}")
     summary = summary_dict(result)
@@ -94,9 +95,7 @@ def _sarif_result(finding: Finding) -> Dict[str, object]:
     if finding.trace:
         locations: List[Dict[str, object]] = []
         for step in finding.trace:
-            location = _sarif_location(
-                step.path or finding.path, step.line
-            )
+            location = _sarif_location(finding.path, step.line)
             location["message"] = {"text": step.note}
             locations.append({"location": location})
         result["codeFlows"] = [

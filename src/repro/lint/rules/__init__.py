@@ -10,10 +10,7 @@ from __future__ import annotations
 from .reset_completeness import ResetCompletenessRule
 from .determinism import DeterminismRule
 from .bitwidth import BitWidthRule
-from .picklability import PicklabilityRule
-from .batch_contract import BatchContractRule
 from .await_atomicity import AwaitAtomicityRule
-from .bitwidth_flow import BitWidthFlowRule
 from .numpy_overflow import NumpyOverflowRule
 from .error_hygiene import ErrorHygieneRule
 
@@ -21,10 +18,7 @@ __all__ = [
     "ResetCompletenessRule",
     "DeterminismRule",
     "BitWidthRule",
-    "PicklabilityRule",
-    "BatchContractRule",
     "AwaitAtomicityRule",
-    "BitWidthFlowRule",
     "NumpyOverflowRule",
     "ErrorHygieneRule",
 ]

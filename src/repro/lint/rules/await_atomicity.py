@@ -94,7 +94,6 @@ class AwaitAtomicityRule(Rule):
         " interleave at every await, so reservations must happen before"
         " suspension (with compensation on failure), not after."
     )
-    needs_project = True
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if not module.in_package(*SCOPED_PACKAGES):

@@ -17,7 +17,9 @@ hazards hide there, both invisible to the syntactic rules:
   itself must not rely on every caller having done so.
 
 The rule runs the bit-width lattice (``repro.lint.flow.intervals``) to
-a fixpoint over each kernel function's CFG.  It fires only on *proven*
+a fixpoint over each kernel function's CFG.  The analysis is
+per-function by design: a kernel must be safe for *any* caller, so
+caller context could only hide hazards.  It fires only on *proven*
 hazards: a known width above 63 bits, or a shift-loop on a value not
 proven non-negative.  Loop-carried growth the lattice cannot bound
 degrades to "unknown" and stays silent — the rule never guesses.
@@ -97,9 +99,6 @@ class NumpyOverflowRule(Rule):
         " values never terminate — kernels must mask at entry, not"
         " trust their callers' ranges."
     )
-    #: Width analysis is per-function by design: a kernel must be safe
-    #: for *any* caller, so caller context could only hide hazards.
-    needs_project = False
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if not module.in_package(*SCOPED_PACKAGES):
@@ -131,7 +130,7 @@ class NumpyOverflowRule(Rule):
                     (ast.Add, ast.Mult, ast.LShift),
                 ):
                     continue
-                width = expression_width(node, scope, env.call_width)
+                width = expression_width(node, scope)
                 if not width.known or width.bits <= INT64_VALUE_BITS:
                     continue
                 if _under_mask(node):

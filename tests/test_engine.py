@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pickle
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,20 @@ from repro.eval.engine import (
     run_jobs,
 )
 from repro.pipeline.delayed import PipelinedPredictor
+from repro.telemetry import stats as telemetry_stats
 from repro.workloads import suites
 
 TRACES = ["INT_xli", "MM_aud", "GAM_duk"]
 INSTR = 8000
+
+#: Every driver that builds engine Jobs: the experiment drivers, minus
+#: the roster helper and ``value_vs_address`` (which builds no Job),
+#: plus the attribution breakdown.
+JOB_DRIVERS = [
+    (E, name)
+    for name in E.__all__
+    if name not in ("quick_trace_set", "value_vs_address")
+] + [(telemetry_stats, "collect_breakdown")]
 
 
 @pytest.fixture(autouse=True)
@@ -123,6 +134,29 @@ class TestJobModel:
             warmup_fraction=0.5,
         ))
         assert 0 < warm.metrics.loads < full.metrics.loads
+
+    @pytest.mark.parametrize(
+        "module, driver", JOB_DRIVERS, ids=[name for _, name in JOB_DRIVERS]
+    )
+    def test_driver_jobs_survive_pickle(self, serial, monkeypatch,
+                                        module, driver):
+        """A Job is a spec, not a live object: every Job a driver builds
+        must cross the process-pool pipe unchanged.  A lambda, closure
+        or local class in a payload works serially and fails the first
+        time the run fans out to workers."""
+        real_run_jobs = module.run_jobs
+        checked = []
+
+        def pickling_run_jobs(jobs, *args, **kwargs):
+            jobs = list(jobs)
+            for job in jobs:
+                assert pickle.loads(pickle.dumps(job)) == job
+            checked.extend(jobs)
+            return real_run_jobs(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(module, "run_jobs", pickling_run_jobs)
+        getattr(module, driver)(traces=["INT_xli"], instructions=3000)
+        assert checked
 
 
 class TestSerialParallelIdentity:

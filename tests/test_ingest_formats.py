@@ -8,6 +8,9 @@ The fixtures live in ``tests/ingest_fixtures/``:
 * ``hostile/`` — one file per way a trace can be malformed, with the
   exact error message pinned in ``expectations.json``.  These messages
   are contract: vaguer wording (or a swallowed error) fails here first.
+  Each hostile file goes through the library reader and through the
+  ``repro ingest describe`` and ``convert`` handlers, which must exit 2
+  with the pinned message rather than let the error escape.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.ingest import (
     sniff_format,
     synthesize_pc,
 )
+from repro.eval.cli import main as cli_main
 from repro.ingest.records import KIND_FETCH, KIND_LOAD, KIND_STORE
 from repro.trace import KIND_LOAD as TRACE_KIND_LOAD
 from repro.trace import KIND_STORE as TRACE_KIND_STORE
@@ -43,12 +47,34 @@ EXPECTATIONS = json.loads((FIXTURES / "expectations.json").read_text())
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTATIONS))
-def test_hostile_fixture_pinned_error(name):
+#: (entry point, fixture) pairs; the library reader keeps the bare
+#: fixture name as its test id.
+HOSTILE_CASES = [
+    pytest.param(
+        entry, name, id=name if entry == "read_path" else f"{entry}-{name}"
+    )
+    for entry in ("read_path", "describe", "convert")
+    for name in sorted(EXPECTATIONS)
+]
+
+
+@pytest.mark.parametrize("entry, name", HOSTILE_CASES)
+def test_hostile_fixture_pinned_error(entry, name, tmp_path, capsys):
     spec = EXPECTATIONS[name]
-    with pytest.raises(FormatError) as excinfo:
-        read_path(HOSTILE / name, spec["format"])
-    assert str(excinfo.value) == spec["error"]
+    if entry == "read_path":
+        with pytest.raises(FormatError) as excinfo:
+            read_path(HOSTILE / name, spec["format"])
+        assert str(excinfo.value) == spec["error"]
+        return
+    output = tmp_path / "out.npz"
+    argv = ["ingest", entry, str(HOSTILE / name)]
+    if entry == "convert":
+        argv.append(str(output))
+    if spec["format"]:
+        argv += ["--format", spec["format"]]
+    assert cli_main(argv) == 2
+    assert spec["error"] in capsys.readouterr().err
+    assert not output.exists()
 
 
 def test_hostile_corpus_is_complete():

@@ -12,11 +12,15 @@ API surface — dispatch gates, fallbacks, warm-up folding — and the
 segmented-array primitives the kernels are built from.
 """
 
+import importlib
+import inspect
+import pkgutil
 import random
 
 import numpy as np
 import pytest
 
+import repro.predictors
 from repro.common.bitops import fold_xor
 from repro.eval.metrics import PredictorMetrics
 from repro.eval.runner import run_on_columns, run_on_stream
@@ -399,6 +403,38 @@ class TestDispatchGates:
             pass
 
         assert not supports_batch(Scalar())
+
+        # predict_batch, update_batch and supports_batch are one contract.
+        # A plan without its commit crashes mid-batch; kernels without the
+        # flag never leave the scalar loop.  So every predictor class that
+        # defines a kernel in its own body must define the whole trio
+        # there, with the flag set.
+        trio = ("supports_batch", "predict_batch", "update_batch")
+        problems, qualifying = [], set()
+        for info in pkgutil.iter_modules(repro.predictors.__path__):
+            module = importlib.import_module(f"repro.predictors.{info.name}")
+            for name, cls in inspect.getmembers(module, inspect.isclass):
+                own = vars(cls)
+                if cls.__module__ != module.__name__ or not (
+                    "predict_batch" in own or "update_batch" in own
+                ):
+                    continue
+                missing = [attr for attr in trio if attr not in own]
+                if missing or own["supports_batch"] is not True:
+                    problems.append(
+                        f"{module.__name__}.{name}: missing {missing},"
+                        f" supports_batch={own.get('supports_batch')!r}"
+                    )
+                else:
+                    qualifying.add(name)
+        assert problems == []
+        assert qualifying == {
+            "LastAddressPredictor",
+            "GShareAddressPredictor",
+            "StridePredictor",
+            "CAPPredictor",
+            "HybridPredictor",
+        }
 
     def test_python_backend_declines(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, BACKEND_PYTHON)

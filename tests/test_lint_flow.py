@@ -1,14 +1,13 @@
 """Tests for the ``repro.lint.flow`` dataflow layer and its plumbing.
 
-Four layers:
+The layer is per-function: there is no cross-module project or call
+graph.  Three layers of tests:
 
 * **CFG** — statement graphs, suspension points, and the
-  "path crosses a suspension" query the race rule is built on.
+  "path crosses a suspension" query the race rule (R007) is built on.
 * **Dataflow** — reaching definitions and def→use chains, and the
   bit-width lattice's fixpoint behaviour (proofs, joins, degradation
-  to "unknown" on loop-carried growth).
-* **Call graph** — name resolution and raises-summaries, including the
-  precision case where a callee catches its own exceptions.
+  to "unknown" on loop-carried growth) behind R009.
 * **Reporting plumbing** — def→use traces in the JSON/SARIF reporters,
   byte-stability of trace-free output, and the suppression audit.
 """
@@ -25,8 +24,6 @@ from repro.lint.core import (
 )
 from repro.lint.cli import main as lint_main
 from repro.lint.flow import (
-    CallGraph,
-    Project,
     ReachingDefs,
     WidthEnv,
     build_cfg,
@@ -188,69 +185,8 @@ class TestDataflow:
         _, func = _func(source)
         env = WidthEnv(func)
         assign = _stmt(func, 4)
-        width = expression_width(
-            assign.value, env.at(assign), env.call_width
-        )
+        width = expression_width(assign.value, env.at(assign))
         assert width.known and width.bits == 80
-
-
-CALLGRAPH_SOURCE = (
-    "class FormatError(Exception):\n"
-    "    pass\n"
-    "\n"
-    "class RegistryError(Exception):\n"
-    "    pass\n"
-    "\n"
-    "def parse(path):\n"
-    "    raise FormatError('bad input shape')\n"
-    "\n"
-    "def validate(path):\n"
-    "    try:\n"
-    "        parse(path)\n"
-    "    except FormatError:\n"
-    "        return ['problem']\n"
-    "    return []\n"
-    "\n"
-    "def convert(path):\n"
-    "    parse(path)\n"
-    "    return 0\n"
-)
-
-
-class TestCallGraph:
-    def _graph(self):
-        module = ModuleInfo("src/repro/ingest/mod.py", CALLGRAPH_SOURCE)
-        project = Project([module])
-        return module, project, CallGraph(project)
-
-    def test_resolves_module_level_calls(self):
-        module, project, graph = self._graph()
-        name = project.module_of(module)
-        caller = project.function(name, "convert")
-        call = next(
-            node
-            for node in ast.walk(caller.node)
-            if isinstance(node, ast.Call)
-        )
-        callee = graph.resolve_call(caller, call)
-        assert callee is not None and callee.node.name == "parse"
-
-    def test_raises_summary_propagates_through_calls(self):
-        module, project, graph = self._graph()
-        name = project.module_of(module)
-        assert "FormatError" in graph.raises(project.function(name, "parse"))
-        assert "FormatError" in graph.raises(
-            project.function(name, "convert")
-        )
-
-    def test_raises_summary_respects_in_function_handlers(self):
-        module, project, graph = self._graph()
-        name = project.module_of(module)
-        # validate() catches FormatError internally: the summary must
-        # not claim it escapes (the R010 precision case).
-        assert "FormatError" not in graph.raises(
-            project.function(name, "validate")
-        )
 
 
 class TestTraceReporting:
