@@ -11,6 +11,8 @@ combining them never hurts much.
 
 from conftest import run_once
 
+from repro.eval.metrics import PredictorMetrics
+from repro.eval.runner import load_outcomes
 from repro.predictors import HybridPredictor
 from repro.timing import StridePrefetcher, simulate
 from repro.workloads import suites
@@ -20,14 +22,16 @@ def _sweep(trace_set, instr):
     rows = {}
     for name in trace_set:
         trace = suites.get_trace(name, instr)
+        outcomes = load_outcomes(
+            HybridPredictor(), trace.predictor_columns(), PredictorMetrics()
+        )
         base = simulate(trace)
         rows[name] = {
             "prefetch": base.cycles / simulate(
                 trace, prefetcher=StridePrefetcher()).cycles,
-            "predict": base.cycles / simulate(
-                trace, HybridPredictor()).cycles,
+            "predict": base.cycles / simulate(trace, outcomes).cycles,
             "both": base.cycles / simulate(
-                trace, HybridPredictor(), prefetcher=StridePrefetcher()
+                trace, outcomes, prefetcher=StridePrefetcher()
             ).cycles,
         }
     return rows

@@ -9,7 +9,8 @@ out-of-order timing model at a gap of 8.
 Run:  python examples/pipeline_effects.py
 """
 
-from repro.eval.runner import run_predictor
+from repro.eval.metrics import PredictorMetrics
+from repro.eval.runner import load_outcomes, run_predictor
 from repro.pipeline import PipelinedPredictor
 from repro.predictors import HybridPredictor
 from repro.timing import simulate, speedup
@@ -46,9 +47,17 @@ def main() -> None:
     print("End-to-end speedup (out-of-order timing model)")
     print(f"{'workload':<20}{'immediate':>12}{'gap 8':>12}")
     for label, trace in traces.items():
+        # The predictor runs first; the timing model schedules each
+        # load's outcome (correct, wrong or no speculative access).
+        stream = trace.predictor_columns()
         base = simulate(trace)
-        imm = simulate(trace, HybridPredictor())
-        piped = simulate(trace, PipelinedPredictor(HybridPredictor(), 8))
+        imm = simulate(trace, load_outcomes(
+            HybridPredictor(), stream, PredictorMetrics()
+        ))
+        piped = simulate(trace, load_outcomes(
+            PipelinedPredictor(HybridPredictor(), 8), stream,
+            PredictorMetrics(),
+        ))
         print(
             f"{label:<20}{speedup(base, imm):>11.3f}x"
             f"{speedup(base, piped):>11.3f}x"

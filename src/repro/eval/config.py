@@ -33,7 +33,6 @@ from ..kernels.api import BACKEND_NUMPY, BACKEND_PYTHON, available_backends
 __all__ = [
     "ENV_BACKEND",
     "ENV_JOBS",
-    "ENV_PROFILE",
     "ENV_REGISTRY",
     "ENV_TELEMETRY",
     "ENV_TELEMETRY_DIR",
@@ -43,7 +42,6 @@ __all__ = [
     "apply",
     "from_args",
     "from_env",
-    "profile_enabled",
     "registry_manifest",
     "resolve_backend",
     "resolve_jobs",
@@ -57,7 +55,6 @@ ENV_JOBS = "REPRO_JOBS"
 ENV_BACKEND = "REPRO_BACKEND"
 ENV_TELEMETRY = "REPRO_TELEMETRY"
 ENV_TELEMETRY_DIR = "REPRO_TELEMETRY_DIR"
-ENV_PROFILE = "REPRO_TELEMETRY_PROFILE"
 ENV_TRACE_CACHE = "REPRO_TRACE_CACHE"
 ENV_TRACE_SCALE = "REPRO_TRACE_SCALE"
 ENV_REGISTRY = "REPRO_REGISTRY"
@@ -83,7 +80,6 @@ class RunConfig:
     backend: Optional[str] = None
     telemetry: bool = False
     telemetry_dir: Optional[str] = None
-    profile: bool = False
     trace_cache: Optional[str] = None
     trace_scale: Optional[float] = None
     registry: Optional[str] = None
@@ -167,7 +163,6 @@ def from_env(environ: Optional[Mapping[str, str]] = None) -> RunConfig:
         backend=backend_raw.lower() or None,
         telemetry=env.get(ENV_TELEMETRY, "").strip() in _TRUTHY,
         telemetry_dir=dir_raw or None,
-        profile=env.get(ENV_PROFILE, "").strip() in _TRUTHY,
         trace_cache=cache_raw or None,
         trace_scale=(
             _parse_float(ENV_TRACE_SCALE, scale_raw) if scale_raw else None
@@ -223,8 +218,6 @@ def apply(
         env[ENV_TELEMETRY] = "1"
     if config.telemetry_dir is not None:
         env[ENV_TELEMETRY_DIR] = config.telemetry_dir
-    if config.profile:
-        env[ENV_PROFILE] = "1"
     if config.trace_cache is not None:
         env[ENV_TRACE_CACHE] = config.trace_cache
     if config.trace_scale is not None:
@@ -266,11 +259,6 @@ def telemetry_enabled() -> bool:
 def telemetry_dir() -> Path:
     """Manifest directory: ``REPRO_TELEMETRY_DIR``, default ``telemetry/``."""
     return from_env().resolved_telemetry_dir()
-
-
-def profile_enabled() -> bool:
-    """Whether profiling is requested (``REPRO_TELEMETRY_PROFILE=1``)."""
-    return from_env().profile
 
 
 def trace_cache_dir() -> Optional[str]:

@@ -43,14 +43,13 @@ from ..predictors.last_address import LastAddressConfig, LastAddressPredictor
 from ..predictors.stride import StrideConfig, StridePredictor
 from ..telemetry import manifest as run_manifest
 from ..telemetry.instrumentation import AttributionProbe, instrument_predictor
-from ..telemetry.profiler import maybe_start as maybe_start_profiler
 from ..timing.machine import MachineConfig
 from ..timing.ooo import simulate
 from ..trace.trace import PredictorStream, Trace
 from ..workloads import suites as suite_registry
 from . import config as run_config
 from .metrics import AttributionCounters, PredictorMetrics
-from .runner import run_on_columns
+from .runner import load_outcomes, run_on_columns
 
 __all__ = [
     "FACTORIES",
@@ -64,6 +63,7 @@ __all__ = [
 
 KIND_PREDICT = "predict"
 KIND_TIMING = "timing"
+KIND_VALUE = "value"
 KIND_VERIFY = "verify"
 
 
@@ -110,11 +110,19 @@ class Job:
 
     ``factory`` names an entry of :data:`FACTORIES`; ``None`` is only
     meaningful for ``kind="timing"`` and simulates the no-prediction
-    baseline.  ``gap`` (when not ``None``) wraps the predictor in
-    :class:`~repro.pipeline.delayed.PipelinedPredictor` — note ``gap=0``
-    still wraps, matching the immediate-update end of the Figure 11 sweep.
-    ``variant`` labels the result for merging; ``capture_selector`` ships
-    the hybrid's Figure 8 selector statistics back with the metrics.
+    baseline.  A positive ``gap`` wraps the predictor in
+    :class:`~repro.pipeline.delayed.PipelinedPredictor`; ``gap=0`` is the
+    immediate-update model, so it builds the bare predictor, exactly as
+    ``None`` does.  ``variant`` labels the result for merging;
+    ``capture_selector`` ships the hybrid's Figure 8 selector statistics
+    back with the metrics.
+
+    ``kind="predict"`` evaluates the predictor over the trace's predictor
+    stream; ``kind="value"`` evaluates it over the trace's loaded values
+    (:meth:`~repro.trace.trace.Trace.value_columns`), the Section 1
+    value-prediction comparison; ``kind="timing"`` runs the same
+    evaluation and hands each load's outcome to the timing model, and the
+    result carries cycles instead of metrics.
 
     ``kind="verify"`` runs the trace through the three-way differential
     harness instead of a plain evaluation; there ``variant`` names a
@@ -156,7 +164,8 @@ class JobResult:
     #: Formatted divergence report from a ``verify`` job (None = clean).
     divergence: Optional[str] = None
     #: Which evaluation backend actually ran ("python" / "numpy"); None
-    #: for job kinds that never enter the prediction loop.
+    #: for jobs that never enter the prediction loop (verify jobs and the
+    #: no-prediction timing baseline).
     backend: Optional[str] = None
     #: Execution wall time measured in the worker; lets the submitting
     #: process split pool latency into queue-wait vs run wall.
@@ -227,7 +236,7 @@ def build_predictor(job: Job) -> AddressPredictor:
             f" choose from {sorted(FACTORIES)}"
         ) from None
     predictor = factory(**job.overrides)
-    if job.gap is not None:
+    if job.gap:
         predictor = PipelinedPredictor(predictor, job.gap)
     return predictor
 
@@ -235,25 +244,10 @@ def build_predictor(job: Job) -> AddressPredictor:
 def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
     """Run one job in the current process, recording run details in ``aux``.
 
-    ``aux`` receives ``events``/``loads`` counts, the attribution ``probe``
-    (instrumented jobs) and the sampling ``profile`` (when enabled) — the
-    raw material for the job's run manifest.
+    ``aux`` receives ``events``/``loads`` counts and the attribution
+    ``probe`` (instrumented jobs) — the raw material for the job's run
+    manifest.
     """
-    if job.kind == KIND_TIMING:
-        trace = _memoized_trace(job.trace, job.instructions)
-        aux["events"] = len(trace)
-        predictor = build_predictor(job) if job.factory is not None else None
-        probe = None
-        if job.instrument and predictor is not None:
-            probe = AttributionProbe()
-            aux["probe"] = probe
-            instrument_predictor(predictor, probe)
-        timing = simulate(trace, predictor, job.machine)
-        aux["loads"] = timing.loads
-        return JobResult(
-            variant=job.variant, trace=job.trace,
-            suite=trace.meta.get("suite", "MISC"), cycles=timing.cycles,
-        )
     if job.kind == KIND_VERIFY:
         # Imported lazily: most engine users never touch the verifier.
         from ..verify.differential import verify_events
@@ -266,13 +260,30 @@ def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
             variant=job.variant, trace=job.trace, suite=_suite_of(job.trace),
             divergence=None if divergence is None else divergence.format(),
         )
-    if job.kind != KIND_PREDICT:
+    if job.kind == KIND_TIMING:
+        trace = _memoized_trace(job.trace, job.instructions)
+        suite = trace.meta.get("suite", "MISC")
+        stream = trace.predictor_columns()
+        aux["events"] = len(trace)
+    elif job.kind == KIND_VALUE:
+        trace = _memoized_trace(job.trace, job.instructions)
+        suite = _suite_of(job.trace)
+        stream = trace.value_columns()
+        aux["events"] = len(stream.tag)
+    elif job.kind == KIND_PREDICT:
+        suite = _suite_of(job.trace)
+        stream = _memoized_stream(job.trace, job.instructions)
+        aux["events"] = len(stream.tag)
+    else:
         raise ValueError(f"unknown job kind {job.kind!r}")
-    suite = _suite_of(job.trace)
-    stream = _memoized_stream(job.trace, job.instructions)
-    aux["events"] = len(stream.tag)
     aux["loads"] = stream.loads
-    warmup = int(stream.loads * job.warmup_fraction)
+    if job.factory is None and job.kind == KIND_TIMING:
+        timing = simulate(trace, None, job.machine)
+        return JobResult(
+            variant=job.variant, trace=job.trace, suite=suite,
+            cycles=timing.cycles,
+        )
+
     predictor = build_predictor(job)
     metrics: PredictorMetrics
     probe = None
@@ -287,12 +298,15 @@ def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
         metrics = PredictorMetrics(
             name=job.variant or predictor.name, trace=job.trace, suite=suite,
         )
-    profiler = maybe_start_profiler()
-    try:
-        run_on_columns(predictor, stream, metrics, warmup_loads=warmup)
-    finally:
-        if profiler is not None:
-            aux["profile"] = profiler.stop()
+    if job.kind == KIND_TIMING:
+        outcomes = load_outcomes(predictor, stream, metrics)
+        timing = simulate(trace, outcomes, job.machine)
+        return JobResult(
+            variant=job.variant, trace=job.trace, suite=suite,
+            cycles=timing.cycles, backend=metrics.backend or None,
+        )
+    warmup = int(stream.loads * job.warmup_fraction)
+    run_on_columns(predictor, stream, metrics, warmup_loads=warmup)
     if probe is not None:
         assert isinstance(metrics, AttributionCounters)
         metrics.absorb_probe(probe)
@@ -401,7 +415,6 @@ def _build_manifest(
             "metrics": global_registry().snapshot(),
         },
         "attribution": probe.as_dict() if probe is not None else None,
-        "profile": aux.get("profile"),
     }
 
 

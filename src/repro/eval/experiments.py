@@ -29,25 +29,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..predictors.cap import CORRELATION_BASE, CORRELATION_REAL, CAPConfig, CAPPredictor
+from ..predictors.cap import CORRELATION_BASE, CORRELATION_REAL, CAPConfig
 from ..predictors.confidence import CFI_LAST, CFI_OFF
 from ..predictors.gshare_address import HISTORY_BRANCH, HISTORY_CALL_PATH
 from ..predictors.hybrid import (
     UPDATE_ALWAYS,
     UPDATE_UNLESS_STRIDE_CORRECT,
     UPDATE_UNLESS_STRIDE_SELECTED,
-    HybridConfig,
-    HybridPredictor,
 )
 from ..predictors.link_table import LinkTableConfig
-from ..predictors.stride import StrideConfig, StridePredictor
 from ..timing.machine import MachineConfig
 from ..workloads import suites as suite_registry
 from .charts import grouped_bar_chart
 from .engine import Job, run_jobs
 from .metrics import PredictorMetrics, SuiteMetrics, aggregate_by_suite
 from .report import format_percent, format_speedup, format_table
-from .runner import run_predictor
 
 __all__ = [
     "fig5",
@@ -79,27 +75,6 @@ def quick_trace_set() -> List[str]:
 
 def _resolve_traces(traces: Optional[Iterable[str]]) -> List[str]:
     return list(traces) if traces is not None else suite_registry.trace_names()
-
-
-# ---------------------------------------------------------------------------
-# Predictor factories (paper baseline configurations)
-# ---------------------------------------------------------------------------
-
-def make_enhanced_stride(**overrides) -> StridePredictor:
-    """The paper's enhanced stride predictor (CFI + interval)."""
-    return StridePredictor(StrideConfig(**overrides))
-
-def make_basic_stride(**overrides) -> StridePredictor:
-    """Prior-art two-delta stride predictor."""
-    return StridePredictor(StrideConfig.basic(**overrides))
-
-def make_cap(**overrides) -> CAPPredictor:
-    """Stand-alone CAP with the Section 4.2 baseline tables."""
-    return CAPPredictor(CAPConfig(**overrides))
-
-def make_hybrid(**overrides) -> HybridPredictor:
-    """Hybrid CAP/enhanced-stride with the dynamic selector."""
-    return HybridPredictor(HybridConfig(**overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -801,46 +776,37 @@ def value_vs_address(
 ) -> ValueVsAddressResult:
     """Section 1's claim: load values are less predictable than addresses.
 
-    Runs last-value and stride-value predictors over the loaded *data* and
-    the hybrid over the *addresses* of the same traces.  ``ceiling`` is
-    the confidence-free correct-prediction share.
+    Runs the last-value and stride-value predictors over the loaded *data*
+    and the hybrid over the *addresses* of the same traces.  A value
+    predictor is an address predictor run over the trace's value stream
+    (``kind="value"`` jobs): last-value is ``last_address`` and
+    stride-value is ``basic_stride``.  ``ceiling`` is the confidence-free
+    correct-prediction share.
     """
-    from ..predictors.value_prediction import (
-        LastValuePredictor,
-        StrideValuePredictor,
-        ValueMetrics,
-        run_value_predictor,
-    )
-
-    trace_names = _resolve_traces(traces)
-    value_totals = {
-        "last-value": ValueMetrics(),
-        "stride-value": ValueMetrics(),
+    rows = {
+        "last-value": ("last_address", "value"),
+        "stride-value": ("basic_stride", "value"),
+        "hybrid (address)": ("hybrid", "predict"),
     }
-    addr_total = PredictorMetrics(name="hybrid")
-    for name in trace_names:
-        trace = suite_registry.get_trace(name, instructions)
-        pairs = trace.value_stream()
-        value_totals["last-value"].add(
-            run_value_predictor(LastValuePredictor(), pairs)
+    jobs = [
+        Job(
+            trace=name, factory=factory, instructions=instructions,
+            kind=kind, variant=label,
         )
-        value_totals["stride-value"].add(
-            run_value_predictor(StrideValuePredictor(), pairs)
-        )
-        addr_total.add(run_predictor(make_hybrid(), trace))
+        for name in _resolve_traces(traces)
+        for label, (factory, kind) in rows.items()
+    ]
+    totals = {label: PredictorMetrics(name=label) for label in rows}
+    for job_result in run_jobs(jobs):
+        totals[job_result.variant].add(job_result.metrics)
 
     result = ValueVsAddressResult(
         title="Section 1: load-value vs load-address predictability",
     )
-    for label, metrics in value_totals.items():
-        result.rows[label] = (
-            metrics.prediction_rate, metrics.accuracy, metrics.predictability,
+    for label, metrics in totals.items():
+        ceiling = (
+            metrics.correct_predictions / metrics.loads
+            if metrics.loads else 0.0
         )
-    ceiling = (
-        addr_total.correct_predictions / addr_total.loads
-        if addr_total.loads else 0.0
-    )
-    result.rows["hybrid (address)"] = (
-        addr_total.prediction_rate, addr_total.accuracy, ceiling,
-    )
+        result.rows[label] = (metrics.prediction_rate, metrics.accuracy, ceiling)
     return result

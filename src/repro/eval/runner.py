@@ -7,24 +7,35 @@ immediate-update predictors this reproduces the Section 4 machine model;
 wrapping the predictor in :class:`repro.pipeline.PipelinedPredictor` gives
 the Section 5 model without changing the loop.
 
-There is one evaluation path.  :func:`run_on_columns` tries the batch
-kernels (:func:`repro.kernels.try_run_batch`) and otherwise runs
-:func:`run_scalar`, the only per-event loop.  :func:`run_on_stream` packs
-a tuple list into columns and calls :func:`run_on_columns`;
+There is one evaluation path, for every table.  :func:`run_on_columns`
+tries the batch kernels (:func:`repro.kernels.try_run_batch`) and
+otherwise runs :func:`run_scalar`, the only per-event loop.
+:func:`load_outcomes` runs the same two halves and also returns each
+load's outcome, the column the timing model
+(:func:`repro.timing.ooo.simulate`) schedules.  :func:`run_on_stream`
+packs a tuple list into columns and calls :func:`run_on_columns`;
 :func:`run_predictor` is the one-shot convenience over both.  The served
 :class:`~repro.serve.session.PredictorSession` calls the same two pieces.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
+
+import numpy as np
 
 from ..kernels import try_run_batch
-from ..predictors.base import AddressPredictor
+from ..predictors.base import AddressPredictor, Prediction
 from ..trace.trace import PredictorStream, Trace
 from .metrics import AttributionCounters, PredictorMetrics
 
-__all__ = ["run_predictor", "run_on_stream", "run_on_columns", "run_scalar"]
+__all__ = [
+    "load_outcomes",
+    "run_on_columns",
+    "run_on_stream",
+    "run_predictor",
+    "run_scalar",
+]
 
 
 def _columns_of(events: Iterable[Sequence[int]]) -> PredictorStream:
@@ -70,6 +81,37 @@ def run_on_columns(
     if result is None:
         run_scalar(predictor, stream, metrics, warmup_loads, observer)
     return metrics
+
+
+def load_outcomes(
+    predictor: AddressPredictor,
+    stream: PredictorStream,
+    metrics: PredictorMetrics,
+) -> np.ndarray:
+    """:func:`run_on_columns` that also returns each load's outcome.
+
+    The result is an int8 column with one entry per ``tag == 1`` event in
+    stream order: +1 for a correct speculative access, -1 for a wrong
+    one, 0 for none.  This is the column
+    :func:`repro.timing.ooo.simulate` schedules.
+    """
+    result = try_run_batch(predictor, stream, metrics)
+    if result is not None:
+        signed = np.where(result.correct, 1, -1).astype(np.int8)
+        return np.where(result.speculative, signed, np.int8(0))
+    outcomes: List[int] = []
+    append = outcomes.append
+
+    def observe(
+        ip: int, offset: int, actual: int, prediction: Prediction
+    ) -> None:
+        if prediction.speculative:
+            append(1 if prediction.address == actual else -1)
+        else:
+            append(0)
+
+    run_scalar(predictor, stream, metrics, observer=observe)
+    return np.array(outcomes, dtype=np.int8)
 
 
 def run_scalar(

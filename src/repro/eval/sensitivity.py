@@ -4,7 +4,10 @@ The paper's Section 6 closes with "tuning the predictor parameters to
 increase predictor performance ... determining the right amount of
 information is an art unto itself."  This module makes that art cheap:
 sweep any config knob of any predictor over any trace set and get the
-same rate/accuracy tables the figure drivers produce.
+same rate/accuracy tables the figure drivers produce.  A sweep is an
+engine grid like the figure drivers: one job per (trace, value), so it
+honours ``REPRO_JOBS`` and, under ``REPRO_TELEMETRY=1``, writes a run
+manifest per job.
 
 Example::
 
@@ -19,24 +22,24 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..predictors.cap import CAPConfig, CAPPredictor
-from ..predictors.hybrid import HybridConfig, HybridPredictor
-from ..predictors.stride import StrideConfig, StridePredictor
+from ..predictors.cap import CAPConfig
+from ..predictors.hybrid import HybridConfig
+from ..predictors.stride import StrideConfig
 from ..workloads import suites as suite_registry
+from .engine import Job, run_jobs
 from .metrics import PredictorMetrics
 from .report import format_percent, format_table
-from .runner import run_predictor
 
 __all__ = ["SweepResult", "sweep", "SWEEPABLE"]
 
-#: predictor kind -> (config class, predictor factory)
+#: predictor kind (an engine factory name) -> its config class
 _KINDS = {
-    "cap": (CAPConfig, CAPPredictor),
-    "stride": (StrideConfig, StridePredictor),
-    "hybrid": (HybridConfig, HybridPredictor),
+    "cap": CAPConfig,
+    "stride": StrideConfig,
+    "hybrid": HybridConfig,
 }
 
 #: Knobs with documented paper relevance, for `python -m repro sweep --list`.
@@ -103,9 +106,8 @@ def sweep(
         ) from None
     if kind not in _KINDS:
         raise ValueError(f"unknown predictor kind {kind!r}")
-    config_cls, predictor_cls = _KINDS[kind]
-    base = config_cls()
-    if not hasattr(base, field_name):
+    config_cls = _KINDS[kind]
+    if not hasattr(config_cls(), field_name):
         raise ValueError(f"{config_cls.__name__} has no field {field_name!r}")
 
     trace_names = (
@@ -115,10 +117,14 @@ def sweep(
     for value in values:
         result.metrics[value] = PredictorMetrics(name=f"{knob}={value}")
 
-    for name in trace_names:
-        stream = suite_registry.get_trace(name, instructions).predictor_stream()
-        for value in values:
-            config = replace(base, **{field_name: value})
-            metrics = run_predictor(predictor_cls(config), stream)
-            result.metrics[value].add(metrics)
+    cells = [(name, value) for name in trace_names for value in values]
+    jobs = [
+        Job(
+            trace=name, factory=kind, overrides={field_name: value},
+            instructions=instructions, variant=f"{knob}={value}",
+        )
+        for name, value in cells
+    ]
+    for (_, value), job_result in zip(cells, run_jobs(jobs)):
+        result.metrics[value].add(job_result.metrics)
     return result

@@ -45,13 +45,6 @@ from .last_address import LastAddressConfig, LastAddressPredictor
 from .profile_guided import ProfileGuidedPredictor, build_profile
 from .link_table import LinkEntry, LinkTable, LinkTableConfig
 from .stride import StrideConfig, StrideLogic, StridePredictor, StrideState
-from .value_prediction import (
-    LastValuePredictor,
-    StrideValuePredictor,
-    ValueMetrics,
-    ValuePredictorConfig,
-    run_value_predictor,
-)
 
 __all__ = [
     "AddressPredictor",
@@ -61,11 +54,6 @@ __all__ = [
     "VariableHistoryConfig",
     "ProfileGuidedPredictor",
     "build_profile",
-    "LastValuePredictor",
-    "StrideValuePredictor",
-    "ValueMetrics",
-    "ValuePredictorConfig",
-    "run_value_predictor",
     "IdealContextConfig",
     "IdealContextPredictor",
     "CORRELATION_BASE",

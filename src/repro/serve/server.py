@@ -188,7 +188,6 @@ def session_manifest(
         "cycles": None,
         "divergence": None,
         "attribution": attribution,
-        "profile": None,
         "obs": {
             "trace_id": trace_id,
             "flight_recorder": flight_dir,

@@ -1,4 +1,4 @@
-"""Observability layer: attribution probes, run manifests, profiling.
+"""Observability layer: attribution probes, run manifests, stats.
 
 Three pieces, all disabled by default and zero-cost when off:
 
@@ -9,9 +9,7 @@ Three pieces, all disabled by default and zero-cost when off:
   :class:`AttributionProbe`, and :func:`instrument_predictor` to wire a
   probe through a predictor tree from the outside.
 * :mod:`repro.telemetry.manifest` — JSON run manifests + heartbeat lines
-  every engine job records under ``REPRO_TELEMETRY=1``, and
-  :mod:`repro.telemetry.profiler` — the opt-in sampling profiler
-  (``REPRO_TELEMETRY_PROFILE=1``) around the columnar hot loop.
+  every engine job records under ``REPRO_TELEMETRY=1``.
 * :mod:`repro.telemetry.stats` — the ``python -m repro stats`` reporting
   backend: misprediction-cause breakdowns and manifest-set diffs
   (imported lazily by the CLI; not re-exported here to keep this package
@@ -28,13 +26,11 @@ from .instrumentation import (
     instrument_predictor,
 )
 from .manifest import MANIFEST_SCHEMA_ID
-from .profiler import SamplingProfiler
 
 __all__ = [
     "ATTRIBUTION_FIELDS",
     "AttributionProbe",
     "Instrumentation",
     "MANIFEST_SCHEMA_ID",
-    "SamplingProfiler",
     "instrument_predictor",
 ]

@@ -9,20 +9,22 @@ than the authors' proprietary simulator, but it captures the two effects
 address prediction trades in: hidden load latency on correct speculative
 accesses and recovery cost on wrong ones (see DESIGN.md).
 
-Address prediction plugs in as any :class:`~repro.predictors.base.
-AddressPredictor` (optionally wrapped in
-:class:`~repro.pipeline.PipelinedPredictor` for the Section 5 experiments).
+Address prediction enters as a per-load outcome column: a predictor's
+outcome does not depend on timing, so the predictor runs first (kernels
+or the scalar loop, :func:`repro.eval.runner.load_outcomes`) and this
+model only schedules its effect on each load.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from ..isa.instructions import NUM_REGISTERS
 from ..pipeline.branch import BranchPredictor
-from ..predictors.base import AddressPredictor
 from ..trace.event import (
     KIND_BRANCH,
     KIND_CALL,
@@ -65,28 +67,33 @@ class TimingResult:
 
 def simulate(
     trace: Trace,
-    predictor: Optional[AddressPredictor] = None,
+    outcomes: Optional[Sequence[int]] = None,
     config: Optional[MachineConfig] = None,
     prefetcher=None,
-    probe=None,
 ) -> TimingResult:
     """Run the timing model over ``trace``.
 
-    With ``predictor`` given, every dynamic load is predicted; correct
-    speculative accesses hide ``config.prediction_lead`` cycles of their
-    latency, wrong ones pay ``config.recovery_penalty`` extra.  With
-    ``prefetcher`` given (see :mod:`repro.timing.prefetch`), every load
-    also trains it and prefetches land in the cache hierarchy.  With
-    ``probe`` given (a :class:`repro.telemetry.Instrumentation`), the
-    predictor tree emits attribution events into it while timing runs.
+    ``outcomes`` is a per-load int8 column in program order over the
+    trace's loads and returns (the ``tag == 1`` rows of
+    :meth:`~repro.trace.trace.Trace.predictor_columns`): +1 for a correct
+    speculative access, which hides ``config.prediction_lead`` cycles of
+    the load's latency; -1 for a wrong one, which pays
+    ``config.recovery_penalty`` extra; 0 for none.  ``None`` simulates no
+    address prediction.  With ``prefetcher`` given (see
+    :mod:`repro.timing.prefetch`), every load also trains it and
+    prefetches land in the cache hierarchy.
     """
     cfg = config or MachineConfig()
-    if probe is not None and predictor is not None:
-        # Imported lazily: the timing layer stays telemetry-free unless a
-        # probe is actually requested.
-        from ..telemetry.instrumentation import instrument_predictor
-
-        instrument_predictor(predictor, probe)
+    outcome_of = None
+    if outcomes is not None:
+        column = np.asarray(outcomes, dtype=np.int8)
+        expected = trace.predictor_columns().loads
+        if len(column) != expected:
+            raise ValueError(
+                f"outcome column has {len(column)} entries but trace"
+                f" {trace.name!r} has {expected} loads"
+            )
+        outcome_of = column.tolist()
     caches = CacheHierarchy(
         l1_latency=cfg.l1_latency,
         l2_latency=cfg.l2_latency,
@@ -108,17 +115,14 @@ def simulate(
     kinds = trace.kind
     ips = trace.ip
     addrs = trace.addr
-    offsets = trace.offset
     dsts = trace.dst
     src1s = trace.src1
     src2s = trace.src2
     takens = trace.taken
 
-    predict = predictor.predict if predictor is not None else None
-    update = predictor.update if predictor is not None else None
-    on_branch = predictor.on_branch if predictor is not None else None
-    on_call = predictor.on_call if predictor is not None else None
-    on_return = predictor.on_return if predictor is not None else None
+    loads = correct = wrong = 0
+    lead = cfg.prediction_lead
+    penalty = cfg.recovery_penalty
 
     for i in range(len(kinds)):
         kind = kinds[i]
@@ -154,37 +158,28 @@ def simulate(
             latency = caches.access(addr)
             if prefetcher is not None:
                 prefetcher.observe(ips[i], addr, caches)
-            if predict is not None:
-                result.loads += 1
-                prediction = predict(ips[i], offsets[i])
-                if prediction.speculative:
-                    if prediction.address == addr:
-                        result.speculative_correct += 1
-                        latency = max(1, latency - cfg.prediction_lead)
-                    else:
-                        result.speculative_wrong += 1
-                        latency += cfg.recovery_penalty
-                update(ips[i], offsets[i], addr, prediction)
-            else:
-                result.loads += 1
+            if outcome_of is not None:
+                outcome = outcome_of[loads]
+                if outcome > 0:
+                    correct += 1
+                    latency = max(1, latency - lead)
+                elif outcome < 0:
+                    wrong += 1
+                    latency += penalty
+            loads += 1
             completion = operands + latency
             dst = dsts[i]
             if dst >= 0:
                 ready[dst] = completion
-            if kind == KIND_RET and on_return is not None:
-                on_return(ips[i])
         elif kind == KIND_STORE or kind == KIND_CALL:
             completion = operands + alu_latency
             store_avail[addrs[i]] = completion
             dst = dsts[i]
             if dst >= 0:
                 ready[dst] = completion
-            if kind == KIND_CALL and on_call is not None:
-                on_call(ips[i])
         elif kind == KIND_BRANCH:
             completion = operands + alu_latency
-            taken = bool(takens[i])
-            if not branch_predictor.update(ips[i], taken):
+            if not branch_predictor.update(ips[i], bool(takens[i])):
                 result.branch_mispredicts += 1
                 # Redirect: fetch resumes after resolution plus penalty.
                 redirect = completion + cfg.branch_penalty
@@ -192,8 +187,6 @@ def simulate(
                     cycle = redirect
                     issued = 0
                     mem_issued = 0
-            if on_branch is not None:
-                on_branch(ips[i], taken)
         elif kind == KIND_JUMP:
             completion = operands + alu_latency
         else:  # ALU
@@ -207,6 +200,9 @@ def simulate(
     # Drain: the last instruction's retirement bounds total cycles.
     final = max(window) if window else cycle
     result.cycles = max(cycle, final)
+    result.loads = loads
+    result.speculative_correct = correct
+    result.speculative_wrong = wrong
     result.l1_hit_rate = caches.l1.hit_rate
     result.meta = {
         "branch_accuracy": branch_predictor.accuracy,

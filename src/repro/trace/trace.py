@@ -328,22 +328,25 @@ class Trace:
             self._predictor_tuples = self.predictor_columns().tuples()
         return self._predictor_tuples
 
-    def value_stream(self) -> List[tuple]:
-        """Per-load ``(ip, loaded_value)`` pairs, for value prediction.
+    def value_columns(self) -> PredictorStream:
+        """Per-load ``(1, ip, loaded_value, 0)`` stream, for value prediction.
 
         The paper (Section 1) contrasts load-address prediction with load-
         *value* prediction ("its lower predictability makes this option
-        less attractive"); this stream feeds that comparison.
+        less attractive").  Any address predictor run over this stream
+        predicts values instead: ``last_address`` is the last-value
+        predictor and ``basic_stride`` the stride-value predictor.
         """
-        pairs: List[tuple] = []
-        kinds = self.kind
+        rows = [i for i, kind in enumerate(self.kind) if kind in LOAD_KINDS]
         ips = self.ip
         values = self.value
-        load_kinds = LOAD_KINDS
-        for i in range(len(kinds)):
-            if kinds[i] in load_kinds:
-                pairs.append((ips[i], values[i]))
-        return pairs
+        return PredictorStream(
+            [1] * len(rows),
+            [ips[i] for i in rows],
+            [values[i] for i in rows],
+            [0] * len(rows),
+            loads=len(rows),
+        )
 
     # -- statistics ----------------------------------------------------------
 

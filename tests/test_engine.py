@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.eval import experiments as E
+from repro.eval import sensitivity
 from repro.eval.engine import (
     FACTORIES,
     KIND_VERIFY,
@@ -17,6 +18,8 @@ from repro.eval.engine import (
     resolve_jobs,
     run_jobs,
 )
+from repro.eval.metrics import PredictorMetrics
+from repro.eval.runner import run_scalar
 from repro.pipeline.delayed import PipelinedPredictor
 from repro.telemetry import stats as telemetry_stats
 from repro.workloads import suites
@@ -24,14 +27,16 @@ from repro.workloads import suites
 TRACES = ["INT_xli", "MM_aud", "GAM_duk"]
 INSTR = 8000
 
-#: Every driver that builds engine Jobs: the experiment drivers, minus
-#: the roster helper and ``value_vs_address`` (which builds no Job),
-#: plus the attribution breakdown.
+#: Every driver that builds engine Jobs, with its extra arguments: the
+#: experiment drivers minus the roster helper, plus the attribution
+#: breakdown and the sensitivity sweep.
 JOB_DRIVERS = [
-    (E, name)
-    for name in E.__all__
-    if name not in ("quick_trace_set", "value_vs_address")
-] + [(telemetry_stats, "collect_breakdown")]
+    (E, name, {}) for name in E.__all__ if name != "quick_trace_set"
+] + [
+    (telemetry_stats, "collect_breakdown", {}),
+    (sensitivity, "sweep",
+     {"knob": "cap.history_length", "values": [1, 2]}),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -85,16 +90,24 @@ class TestJobModel:
         assert isinstance(predictor, PipelinedPredictor)
         assert predictor.gap == 4
 
-    def test_gap_zero_still_wraps(self):
-        # Figure 11's gap sweep includes gap 0 *wrapped*; None means bare.
-        assert isinstance(
-            build_predictor(Job(trace="t", factory="stride", gap=0)),
-            PipelinedPredictor,
+    @pytest.mark.parametrize("factory", ["stride", "hybrid"])
+    def test_gap_zero_builds_the_bare_predictor(self, serial, factory):
+        """Gap 0 is the immediate model: the wrapper would only forward
+        (updates apply at once, no flush), so the engine leaves it off and
+        fig11's gap-0 cells can reach the kernels."""
+        for gap in (0, None):
+            predictor = build_predictor(
+                Job(trace="t", factory=factory, gap=gap)
+            )
+            assert not isinstance(predictor, PipelinedPredictor)
+        stream = suites.get_predictor_stream("INT_xli", INSTR)
+        bare = run_scalar(FACTORIES[factory](), stream, PredictorMetrics())
+        wrapped = run_scalar(
+            PipelinedPredictor(FACTORIES[factory](), 0), stream,
+            PredictorMetrics(),
         )
-        assert not isinstance(
-            build_predictor(Job(trace="t", factory="stride")),
-            PipelinedPredictor,
-        )
+        assert _metric_tuple(bare) == _metric_tuple(wrapped)
+        assert bare.loads > 0
 
     def test_every_factory_builds(self):
         for name in FACTORIES:
@@ -136,10 +149,11 @@ class TestJobModel:
         assert 0 < warm.metrics.loads < full.metrics.loads
 
     @pytest.mark.parametrize(
-        "module, driver", JOB_DRIVERS, ids=[name for _, name in JOB_DRIVERS]
+        "module, driver, kwargs", JOB_DRIVERS,
+        ids=[name for _, name, _ in JOB_DRIVERS],
     )
     def test_driver_jobs_survive_pickle(self, serial, monkeypatch,
-                                        module, driver):
+                                        module, driver, kwargs):
         """A Job is a spec, not a live object: every Job a driver builds
         must cross the process-pool pipe unchanged.  A lambda, closure
         or local class in a payload works serially and fails the first
@@ -155,7 +169,9 @@ class TestJobModel:
             return real_run_jobs(jobs, *args, **kwargs)
 
         monkeypatch.setattr(module, "run_jobs", pickling_run_jobs)
-        getattr(module, driver)(traces=["INT_xli"], instructions=3000)
+        getattr(module, driver)(
+            traces=["INT_xli"], instructions=3000, **kwargs
+        )
         assert checked
 
 

@@ -3,7 +3,8 @@ on freshly generated traces (workload -> CPU -> trace -> predictor)."""
 
 import pytest
 
-from repro.eval.runner import run_predictor
+from repro.eval.metrics import PredictorMetrics
+from repro.eval.runner import load_outcomes, run_predictor
 from repro.pipeline import PipelinedPredictor
 from repro.predictors import (
     CAPConfig,
@@ -139,7 +140,10 @@ class TestSection5Claims:
 
     def test_pipelined_predictor_still_speeds_up(self, rds_trace):
         base = simulate(rds_trace)
-        pred = simulate(rds_trace, PipelinedPredictor(HybridPredictor(), 8))
+        pred = simulate(rds_trace, load_outcomes(
+            PipelinedPredictor(HybridPredictor(), 8),
+            rds_trace.predictor_columns(), PredictorMetrics(),
+        ))
         assert speedup(base, pred) > 1.02
 
 
@@ -155,10 +159,13 @@ class TestRDSSpeedupClaim:
             ArraySumWorkload(seed=11, elements=2048),
             max_instructions=40_000,
         )
-        list_speedup = speedup(
-            simulate(list_trace), simulate(list_trace, HybridPredictor())
-        )
-        arr_speedup = speedup(
-            simulate(arr_trace), simulate(arr_trace, HybridPredictor())
-        )
+        def hybrid_speedup(trace):
+            outcomes = load_outcomes(
+                HybridPredictor(), trace.predictor_columns(),
+                PredictorMetrics(),
+            )
+            return speedup(simulate(trace), simulate(trace, outcomes))
+
+        list_speedup = hybrid_speedup(list_trace)
+        arr_speedup = hybrid_speedup(arr_trace)
         assert list_speedup > arr_speedup

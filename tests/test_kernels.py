@@ -93,6 +93,30 @@ def make_stream(rng, n_events, n_keys, correlated=0.6):
     return PredictorStream(tag, ip, a, b)
 
 
+def make_value_columns(rng, n_loads, n_keys):
+    """Loads only, with ``b = 0``: the shape of ``Trace.value_columns()``.
+
+    Values repeat, step by a constant, or land around 2**32 and anywhere
+    below 2**63, so the stride predictor's 32-bit arithmetic wraps.
+    """
+    values = {}
+    tag, ip, a = [], [], []
+    for _ in range(n_loads):
+        k = rng.randrange(n_keys)
+        r = rng.random()
+        if k in values and r < 0.4:
+            value = values[k]
+        elif k in values and r < 0.8:
+            value = min(values[k] + 8, (1 << 63) - 1)
+        elif r < 0.9:
+            value = (1 << 32) + rng.randrange(-256, 256)
+        else:
+            value = rng.randrange(1 << 63)
+        values[k] = value
+        tag.append(1), ip.append(0x1000 + 4 * k), a.append(value)
+    return PredictorStream(tag, ip, a, [0] * n_loads)
+
+
 def metrics_tuple(m):
     return (m.loads, m.predictions, m.correct_predictions,
             m.speculative, m.correct_speculative)
@@ -564,13 +588,31 @@ def _run_both(factory, stream, warmup):
             batch, m_batch, batch_records(result, stream), probe_b)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("name,factory,dump", ROSTER,
-                         ids=[r[0] for r in ROSTER])
+#: Every roster entry on two mixed streams, plus the value_vs_address
+#: table's two predictors (last-value, stride-value) on a value stream.
+PARITY_CASES = [
+    (name, factory, dump, seed)
+    for seed in (0, 1)
+    for name, factory, dump in ROSTER
+] + [
+    ("last_address", lambda: LastAddressPredictor(), la_dump, "value"),
+    ("basic_stride", lambda: StridePredictor(StrideConfig.basic()), st_dump,
+     "value"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,factory,dump,seed", PARITY_CASES,
+    ids=[f"{case[0]}-{case[3]}" for case in PARITY_CASES],
+)
 def test_kernel_matches_scalar(name, factory, dump, seed):
-    rng = random.Random(1000 * seed + hash(name) % 97)
-    stream = make_stream(rng, 1500, rng.choice([5, 23, 150]),
-                         correlated=rng.choice([0.4, 0.8]))
+    if seed == "value":
+        rng = random.Random(f"value-{name}")
+        stream = make_value_columns(rng, 1500, rng.choice([5, 23, 150]))
+    else:
+        rng = random.Random(1000 * seed + hash(name) % 97)
+        stream = make_stream(rng, 1500, rng.choice([5, 23, 150]),
+                             correlated=rng.choice([0.4, 0.8]))
     warmup = rng.choice([0, 40])
     (scalar, m_scalar, records, probe_s,
      batch, m_batch, brecords, probe_b) = _run_both(factory, stream, warmup)

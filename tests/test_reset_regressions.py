@@ -4,18 +4,11 @@ PR 3's differential verifier caught ``PipelinedPredictor.reset()``
 leaving its embedded branch predictor and flush counter trained; the
 R001 lint rule found the same latent pattern in the timing layer
 (``CacheLevel``/``CacheHierarchy``/``StridePrefetcher`` had *no* reset
-at all) and in the value predictors.  Each test here pins the fix the
-same way the PR 3 pattern did: state is exercised, reset, and the
-object must then behave bit-identically to a freshly constructed one.
+at all).  Each test here pins the fix the same way the PR 3 pattern did:
+state is exercised, reset, and the object must then behave
+bit-identically to a freshly constructed one.
 """
 
-import pytest
-
-from repro.predictors.value_prediction import (
-    LastValuePredictor,
-    StrideValuePredictor,
-    ValuePredictorConfig,
-)
 from repro.timing.cache import CacheConfig, CacheHierarchy, CacheLevel
 from repro.timing.prefetch import PrefetchConfig, StridePrefetcher
 
@@ -96,33 +89,3 @@ class TestStridePrefetcherReset:
         # A trained-but-unreset table would keep its confident strides and
         # issue prefetches from the very first observation again.
         assert reused.issued == fresh.issued
-
-
-@pytest.mark.parametrize(
-    "predictor_class", [LastValuePredictor, StrideValuePredictor]
-)
-class TestValuePredictorReset:
-    def test_tables_forgotten(self, predictor_class):
-        predictor = predictor_class(ValuePredictorConfig(entries=64, ways=2))
-        for i in range(20):
-            predictor.update(0x40, 100 + 4 * i)
-        value, _ = predictor.predict(0x40)
-        assert value is not None
-        predictor.reset()
-        assert predictor.predict(0x40) == (None, False)
-
-    def test_behaves_like_fresh_instance(self, predictor_class):
-        config = ValuePredictorConfig(entries=64, ways=2)
-
-        def run(p):
-            out = []
-            for i in range(30):
-                out.append(p.predict(0x80))
-                p.update(0x80, 7 * i)
-            return out
-
-        reused = predictor_class(config)
-        run(reused)
-        reused.reset()
-        fresh = predictor_class(config)
-        assert run(reused) == run(fresh)

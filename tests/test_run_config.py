@@ -31,7 +31,6 @@ def test_env_overrides_defaults():
             "REPRO_BACKEND": "PYTHON",
             "REPRO_TELEMETRY": "1",
             "REPRO_TELEMETRY_DIR": "out",
-            "REPRO_TELEMETRY_PROFILE": "true",
             "REPRO_TRACE_CACHE": "/tmp/cache",
             "REPRO_TRACE_SCALE": "0.25",
         }
@@ -40,7 +39,6 @@ def test_env_overrides_defaults():
     assert config.backend == "python"  # normalised to lower case
     assert config.telemetry is True
     assert config.telemetry_dir == "out"
-    assert config.profile is True
     assert config.trace_cache == "/tmp/cache"
     assert config.resolved_trace_scale() == 0.25
 
@@ -79,7 +77,6 @@ def test_apply_round_trips_through_environment():
         backend="python",
         telemetry=True,
         telemetry_dir="rt",
-        profile=True,
         trace_cache="cache",
         trace_scale=0.5,
     )

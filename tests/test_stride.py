@@ -66,6 +66,15 @@ class TestBasicStride:
         )
         assert spec <= 2
 
+    def test_reset_behaves_like_fresh_instance(self):
+        walk = array_walk(0x2000, 30, stride=12)
+        reused = StridePredictor(StrideConfig.basic(entries=64, ways=2))
+        drive(reused, 0x80, walk)
+        reused.reset()
+        assert not reused.predict(0x80, 0).made
+        fresh = StridePredictor(StrideConfig.basic(entries=64, ways=2))
+        assert drive(reused, 0x80, walk) == drive(fresh, 0x80, walk)
+
 
 class TestInterval:
     def test_interval_learned_at_wrap(self):

@@ -1,4 +1,4 @@
-"""Instrumentation layer: probes, manifests, schema, profiler, stats.
+"""Instrumentation layer: probes, manifests, schema, stats.
 
 The load-bearing property is parity: an instrumented predictor must
 report byte-identical attribution counters whether it is driven through
@@ -20,7 +20,6 @@ from repro.telemetry import (
     instrument_predictor,
 )
 from repro.telemetry import manifest as run_manifest
-from repro.telemetry import profiler
 from repro.telemetry.schema import load_schema, validate, validate_manifest
 from repro.trace.event import KIND_BRANCH, KIND_CALL, KIND_LOAD, KIND_RET
 from repro.trace.trace import Trace
@@ -33,7 +32,6 @@ INSTR = 8000
 def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    monkeypatch.delenv("REPRO_TELEMETRY_PROFILE", raising=False)
 
 
 def _mixed_trace(events=3000, seed=7):
@@ -397,28 +395,6 @@ class TestSchemaValidator:
     def test_unknown_keyword_raises(self):
         with pytest.raises(ValueError):
             validate({}, {"type": "object", "patternProperties": {}})
-
-
-class TestProfiler:
-    def test_disabled_by_default(self):
-        assert profiler.maybe_start() is None
-
-    def test_profile_collects_samples(self, monkeypatch):
-        if not profiler.available():
-            pytest.skip("SIGPROF/setitimer unavailable")
-        monkeypatch.setenv("REPRO_TELEMETRY_PROFILE", "1")
-        prof = profiler.maybe_start(interval=0.001)
-        assert prof is not None
-        deadline = 200_000
-        total = 0
-        for i in range(deadline):
-            total += i * i
-        report = prof.stop()
-        assert report["interval_ms"] == pytest.approx(1.0)
-        assert report["samples"] >= 0
-        for site in report["sites"]:
-            assert isinstance(site["site"], str)
-            assert site["count"] >= 1
 
 
 class TestStatsReporting:

@@ -1,7 +1,13 @@
 """Tests for the cache model and the out-of-order timing model."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.eval.engine import Job, run_jobs
+from repro.eval.metrics import PredictorMetrics
+from repro.eval.runner import load_outcomes
 from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU
 from repro.isa.memory import Memory
@@ -18,7 +24,20 @@ from repro.timing import (
     speedup,
 )
 from repro.trace.trace import Trace
-from repro.workloads import LinkedListWorkload, trace_workload
+from repro.workloads import LinkedListWorkload, suites, trace_workload
+
+#: Cycles pinned from the timing model before it stopped driving the
+#: predictor itself; ``benchmarks/test_golden_cycles.py`` regenerates them.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "timing_cycles.json").read_text()
+)
+
+
+def outcomes_of(trace, predictor):
+    """The per-load outcome column ``predictor`` produces on ``trace``."""
+    return load_outcomes(
+        predictor, trace.predictor_columns(), PredictorMetrics()
+    )
 
 
 class TestCacheLevel:
@@ -174,7 +193,7 @@ class TestTimingModel:
         workload = LinkedListWorkload(seed=3, via_global_ptr=False, length=16)
         trace = trace_workload(workload, max_instructions=30_000)
         base = simulate(trace)
-        pred = simulate(trace, HybridPredictor())
+        pred = simulate(trace, outcomes_of(trace, HybridPredictor()))
         assert speedup(base, pred) > 1.2
 
     def test_stride_prediction_modest_on_arrays(self):
@@ -183,17 +202,32 @@ class TestTimingModel:
 
         trace = trace_workload(ArraySumWorkload(seed=3), max_instructions=30_000)
         base = simulate(trace)
-        pred = simulate(trace, StridePredictor())
+        pred = simulate(trace, outcomes_of(trace, StridePredictor()))
         s = speedup(base, pred)
         assert 0.98 < s < 1.3
 
     def test_result_counters(self):
         workload = LinkedListWorkload(seed=3)
         trace = trace_workload(workload, max_instructions=10_000)
-        result = simulate(trace, HybridPredictor())
+        outcomes = outcomes_of(trace, HybridPredictor())
+        result = simulate(trace, outcomes)
         assert result.loads == trace.summary().loads
+        assert result.speculative_correct == int((outcomes == 1).sum())
+        assert result.speculative_wrong == int((outcomes == -1).sum())
         assert result.speculative_correct + result.speculative_wrong <= result.loads
         assert 0 <= result.l1_hit_rate <= 1
+
+    def test_outcome_column_contract(self):
+        """One entry per load: +1 hides ``prediction_lead`` cycles, -1
+        pays the recovery, 0 changes nothing; any other length raises."""
+        trace = make_dependent_chain_trace(50)
+        none = simulate(trace).cycles
+        assert simulate(trace, [0] * 50).cycles == none
+        assert simulate(trace, [1] * 50).cycles < none
+        assert simulate(trace, [-1] * 50).cycles > none
+        for wrong_length in (49, 51):
+            with pytest.raises(ValueError, match="has 50 loads"):
+                simulate(trace, [0] * wrong_length)
 
     def test_branch_mispredicts_cost_cycles(self):
         import random
@@ -273,3 +307,43 @@ class TestMemoryPorts:
     def test_port_validation(self):
         with pytest.raises(ValueError):
             MachineConfig(memory_ports=0)
+
+
+class TestGoldenCycles:
+    """The timing model's cycles stay those pinned in the golden file.
+
+    Tier-1 checks the small-budget grid through the engine and the
+    prefetcher cells through ``simulate``; the default-budget grid (225
+    fig7/fig12 cells) is ``benchmarks/test_golden_cycles.py``.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _isolated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_JOBS", "1")
+
+    def test_small_grid_through_engine(self):
+        part = GOLDEN["small"]
+        jobs = [
+            Job(trace=name, factory=spec["factory"], gap=spec["gap"],
+                instructions=part["instructions"], kind="timing",
+                variant=variant)
+            for name in part["cycles"]
+            for variant, spec in GOLDEN["variants"].items()
+        ]
+        cycles = {}
+        for result in run_jobs(jobs):
+            cycles.setdefault(result.trace, {})[result.variant] = result.cycles
+            assert result.metrics is None
+            assert (result.backend is None) == (result.variant == "none")
+        assert cycles == part["cycles"]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["prefetch"]["cycles"]))
+    def test_prefetch_cell_through_simulate(self, name):
+        part = GOLDEN["prefetch"]
+        trace = suites.get_trace(name, part["instructions"])
+        result = simulate(
+            trace, outcomes_of(trace, HybridPredictor()),
+            prefetcher=StridePrefetcher(),
+        )
+        assert result.cycles == part["cycles"][name]

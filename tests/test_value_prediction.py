@@ -1,70 +1,94 @@
-"""Tests for the load-value predictors (the Section 1 comparison)."""
+"""Load-value prediction (the Section 1 comparison).
 
-import pytest
+A value predictor is an address predictor run over a trace's value
+stream (:meth:`repro.trace.trace.Trace.value_columns`): the last-value
+predictor is the ``last_address`` factory and the stride-value predictor
+is ``basic_stride``.
+"""
 
-from repro.predictors import (
-    LastValuePredictor,
-    StrideValuePredictor,
-    ValueMetrics,
-    ValuePredictorConfig,
-    run_value_predictor,
-)
+from repro.eval.engine import FACTORIES, Job, execute_job
+from repro.eval.runner import run_predictor
+from repro.predictors import HybridPredictor
+from repro.trace.event import KIND_ALU, KIND_LOAD, KIND_RET, KIND_STORE
+from repro.trace.trace import Trace
 from repro.workloads import LinkedListWorkload, trace_workload
+
+
+def value_trace(pairs):
+    """A trace of loads returning the given ``(ip, value)`` pairs."""
+    trace = Trace("values")
+    for ip, value in pairs:
+        trace.append(KIND_LOAD, ip, addr=0x9000, value=value)
+    return trace
+
+
+def run_values(factory, pairs, **overrides):
+    predictor = FACTORIES[factory](**overrides)
+    return run_predictor(predictor, value_trace(pairs).value_columns())
+
+
+def ceiling(metrics):
+    """Correct raw predictions / all loads (confidence-free)."""
+    return metrics.correct_predictions / metrics.loads
+
+
+class TestValueColumns:
+    def test_one_load_event_per_load(self):
+        trace = Trace("mixed")
+        trace.append(KIND_LOAD, 0x100, addr=0x2000, offset=4, value=11)
+        trace.append(KIND_STORE, 0x104, addr=0x2000, value=12)
+        trace.append(KIND_ALU, 0x108)
+        trace.append(KIND_RET, 0x10C, addr=0x3000, value=0x400)
+        stream = trace.value_columns()
+        assert stream.lists() == (
+            [1, 1], [0x100, 0x10C], [11, 0x400], [0, 0],
+        )
+        assert stream.loads == 2
+
+    def test_value_job_runs_the_predict_path(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        result = execute_job(Job(
+            trace="INT_xli", factory="last_address", kind="value",
+            instructions=8000, variant="last-value",
+        ))
+        assert result.metrics.name == "last-value"
+        assert result.metrics.loads > 0
+        assert result.backend in ("python", "numpy")
 
 
 class TestLastValuePredictor:
     def test_learns_constant_value(self):
-        p = LastValuePredictor()
-        metrics = run_value_predictor(p, [(0x100, 7)] * 10)
+        metrics = run_values("last_address", [(0x100, 7)] * 10)
         assert metrics.correct_predictions == 9
         assert metrics.speculative > 0
         assert metrics.accuracy == 1.0
 
     def test_changing_values_never_confident(self):
-        p = LastValuePredictor()
-        metrics = run_value_predictor(p, [(0x100, i) for i in range(50)])
+        metrics = run_values("last_address", [(0x100, i) for i in range(50)])
         assert metrics.speculative == 0
 
     def test_per_ip_isolation(self):
-        p = LastValuePredictor()
-        pairs = [(0x100, 1), (0x200, 2)] * 10
-        metrics = run_value_predictor(p, pairs)
-        assert metrics.predictability > 0.8
+        metrics = run_values("last_address", [(0x100, 1), (0x200, 2)] * 10)
+        assert ceiling(metrics) > 0.8
 
 
 class TestStrideValuePredictor:
     def test_learns_counter_values(self):
         """A load returning 0,1,2,3,... (a loop counter in memory)."""
-        p = StrideValuePredictor()
-        metrics = run_value_predictor(p, [(0x100, i) for i in range(50)])
-        assert metrics.predictability > 0.9
+        metrics = run_values("basic_stride", [(0x100, i) for i in range(50)])
+        assert ceiling(metrics) > 0.9
         assert metrics.accuracy > 0.95
 
     def test_constant_is_stride_zero(self):
-        p = StrideValuePredictor()
-        metrics = run_value_predictor(p, [(0x100, 42)] * 20)
-        assert metrics.predictability > 0.9
+        metrics = run_values("basic_stride", [(0x100, 42)] * 20)
+        assert ceiling(metrics) > 0.9
 
     def test_wraps_32bit(self):
-        p = StrideValuePredictor()
-        values = [(0x100, (0xFFFF_FFF0 + 8 * i) & 0xFFFFFFFF) for i in range(20)]
-        metrics = run_value_predictor(p, values)
-        assert metrics.predictability > 0.8
-
-
-class TestValueMetrics:
-    def test_empty(self):
-        m = ValueMetrics()
-        assert m.prediction_rate == 0.0
-        assert m.accuracy == 0.0
-        assert m.predictability == 0.0
-
-    def test_add(self):
-        a = ValueMetrics(loads=10, speculative=5, correct_speculative=5)
-        b = ValueMetrics(loads=10, speculative=0)
-        a.add(b)
-        assert a.loads == 20
-        assert a.prediction_rate == pytest.approx(0.25)
+        values = [
+            (0x100, (0xFFFF_FFF0 + 8 * i) & 0xFFFFFFFF) for i in range(20)
+        ]
+        metrics = run_values("basic_stride", values)
+        assert ceiling(metrics) > 0.8
 
 
 class TestPaperClaim:
@@ -77,19 +101,17 @@ class TestPaperClaim:
         the interpreter-style workload: address prediction must beat value
         prediction clearly.
         """
-        from repro.eval.runner import run_predictor
-        from repro.predictors import HybridPredictor
-
         trace = trace_workload(
             LinkedListWorkload(seed=5), max_instructions=30_000,
         )
-        addr = run_predictor(HybridPredictor(), trace.predictor_stream())
-        value = run_value_predictor(
-            StrideValuePredictor(), trace.value_stream(),
+        addr = run_predictor(HybridPredictor(), trace.predictor_columns())
+        value = run_predictor(
+            FACTORIES["basic_stride"](), trace.value_columns(),
         )
         assert addr.prediction_rate > value.prediction_rate
 
     def test_config_applied(self):
-        p = LastValuePredictor(ValuePredictorConfig(confidence_threshold=4))
-        metrics = run_value_predictor(p, [(0x100, 7)] * 6)
+        metrics = run_values(
+            "last_address", [(0x100, 7)] * 6, confidence_threshold=4,
+        )
         assert metrics.speculative == 1  # needs 4 correct first
