@@ -6,6 +6,10 @@ structure indexed by history bits.  Both are built on the two classes here.
 
 Entries are arbitrary objects supplied by the caller; the tables manage
 indexing, tag matching, LRU replacement and occupancy statistics only.
+
+A :class:`SetAssociativeTable` builds its ways on first access, not in
+``__init__`` (:class:`LazySets`); a :class:`DirectMappedTable` allocates
+its slots at once.
 """
 
 from __future__ import annotations
@@ -15,8 +19,61 @@ from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
 from .bitops import is_power_of_two, log2_exact, mask
 
 E = TypeVar("E")
+W = TypeVar("W")
 
-__all__ = ["SetAssociativeTable", "DirectMappedTable"]
+__all__ = ["LazySets", "SetAssociativeTable", "DirectMappedTable"]
+
+
+class LazySets(Generic[W]):
+    """Per-set way lists, built on first access.
+
+    Most predictors the batch kernels evaluate are never read again, and
+    allocating thousands of ways each was most of their commit cost.  So
+    :meth:`sets` builds the storage when it is first needed, and a kernel
+    commit that finds it unbuilt leaves a *pending fill*
+    (:meth:`fill_later`) for the build to apply: every reader sees the
+    same contents either way.  Hot paths test ``_sets`` for ``None``
+    themselves and call :meth:`sets` only when it is.
+    """
+
+    def __init__(self, num_sets: int, ways: int, new_way: Callable[[], W]) -> None:
+        self.num_sets = num_sets
+        self.ways = ways
+        self._new_way = new_way
+        self._sets: Optional[List[List[W]]] = None
+        self._fill: Optional[Callable[[List[List[W]]], None]] = None
+
+    def sets(self) -> List[List[W]]:
+        """The ways of every set, built (and any pending fill applied) on
+        first access."""
+        sets = self._sets
+        if sets is None:
+            new_way = self._new_way
+            sets = self._sets = [
+                [new_way() for _ in range(self.ways)]
+                for _ in range(self.num_sets)
+            ]
+            fill = self._fill
+            if fill is not None:
+                self._fill = None
+                fill(sets)
+        return sets
+
+    def fill_later(self, fill: Callable[[List[List[W]]], None]) -> None:
+        """Have ``fill`` write its ways when the storage is built.
+
+        A fill that finds the storage built, or another fill pending, is
+        applied at once, so fills always land in the order they came.
+        """
+        if self._sets is None and self._fill is None:
+            self._fill = fill
+        else:
+            fill(self.sets())
+
+    def clear(self) -> None:
+        """Drop the storage and any pending fill."""
+        self._sets = None
+        self._fill = None
 
 
 class _Way(Generic[E]):
@@ -34,7 +91,7 @@ class _Way(Generic[E]):
         return self.tag is not None
 
 
-class SetAssociativeTable(Generic[E]):
+class SetAssociativeTable(LazySets[_Way[E]]):
     """A set-associative table with true-LRU replacement.
 
     Keys are arbitrary integers (e.g. instruction pointers).  The low
@@ -54,15 +111,12 @@ class SetAssociativeTable(Generic[E]):
             raise ValueError(f"entries must be a power of two, got {entries}")
         if ways < 1 or entries % ways:
             raise ValueError(f"ways={ways} does not divide entries={entries}")
-        self.entries = entries
-        self.ways = ways
-        self.num_sets = entries // ways
-        if not is_power_of_two(self.num_sets):
+        num_sets = entries // ways
+        if not is_power_of_two(num_sets):
             raise ValueError("entries/ways must be a power of two")
-        self.index_bits = log2_exact(self.num_sets)
-        self._sets: List[List[_Way[E]]] = [
-            [_Way() for _ in range(ways)] for _ in range(self.num_sets)
-        ]
+        super().__init__(num_sets, ways, _Way)
+        self.entries = entries
+        self.index_bits = log2_exact(num_sets)
         self._clock = 0
         self.hits = 0
         self.misses = 0
@@ -79,8 +133,11 @@ class SetAssociativeTable(Generic[E]):
 
     def lookup(self, key: int) -> Optional[E]:
         """Return the entry for ``key``, updating LRU, or ``None`` on miss."""
+        sets = self._sets
+        if sets is None:
+            sets = self.sets()
         index, tag = self._split(key)
-        for way in self._sets[index]:
+        for way in sets[index]:
             if way.valid and way.tag == tag:
                 self._clock += 1
                 way.lru = self._clock
@@ -92,7 +149,7 @@ class SetAssociativeTable(Generic[E]):
     def peek(self, key: int) -> Optional[E]:
         """Like :meth:`lookup` but without touching LRU or statistics."""
         index, tag = self._split(key)
-        for way in self._sets[index]:
+        for way in self.sets()[index]:
             if way.valid and way.tag == tag:
                 return way.entry
         return None
@@ -103,8 +160,11 @@ class SetAssociativeTable(Generic[E]):
         If ``key`` is already present its entry is replaced in place (no
         eviction is reported).
         """
+        sets = self._sets
+        if sets is None:
+            sets = self.sets()
         index, tag = self._split(key)
-        ways = self._sets[index]
+        ways = sets[index]
         self._clock += 1
         # Replace in place on a tag match.
         for way in ways:
@@ -140,7 +200,7 @@ class SetAssociativeTable(Generic[E]):
     def invalidate(self, key: int) -> bool:
         """Remove ``key`` from the table; return whether it was present."""
         index, tag = self._split(key)
-        for way in self._sets[index]:
+        for way in self.sets()[index]:
             if way.valid and way.tag == tag:
                 way.tag = None
                 way.entry = None
@@ -149,12 +209,8 @@ class SetAssociativeTable(Generic[E]):
         return False
 
     def clear(self) -> None:
-        """Invalidate every entry and reset statistics."""
-        for ways in self._sets:
-            for way in ways:
-                way.tag = None
-                way.entry = None
-                way.lru = 0
+        """Drop every entry, and any pending fill, and reset statistics."""
+        super().clear()
         self._clock = 0
         self.hits = 0
         self.misses = 0
@@ -164,11 +220,11 @@ class SetAssociativeTable(Generic[E]):
 
     def occupancy(self) -> int:
         """Number of valid entries currently resident."""
-        return sum(1 for ways in self._sets for w in ways if w.valid)
+        return sum(1 for ways in self.sets() for w in ways if w.valid)
 
     def __iter__(self) -> Iterator[Tuple[int, E]]:
         """Yield ``(key, entry)`` for every valid entry."""
-        for index, ways in enumerate(self._sets):
+        for index, ways in enumerate(self.sets()):
             for way in ways:
                 if way.valid:
                     assert way.tag is not None and way.entry is not None

@@ -67,7 +67,8 @@ def run_batch(predictor, stream, warmup_loads: int = 0) -> Optional[BatchResult]
 
     The predictor must pass :func:`supports_batch`.  On success the
     predictor holds the same end-of-stream state the scalar path would
-    have produced.
+    have produced: its statistics at once, its table entries as pending
+    fills that each table applies on first read.
     """
     from .batch import EventBatch
 

@@ -10,9 +10,13 @@ in two phases mirroring the scalar ``predict``/``update`` contract:
   intermediate state the commit phase needs.  Must not mutate anything;
   raises :class:`BatchFallback` for configurations it cannot vectorise.
 * ``update_batch(batch, result)`` — commits the end-of-stream
-  architectural state (tables, counters, statistics, probe counts) into
-  the live predictor objects, leaving the predictor indistinguishable
-  from one trained by the scalar path.
+  architectural state, leaving the predictor indistinguishable from one
+  trained by the scalar path.  Statistics, clocks, the GHR and call
+  path, probe counts and selector statistics are written at once; the
+  table entries are left as per-generation columns in a pending fill,
+  which a table applies when its storage is first built
+  (:meth:`repro.common.tables.LazySets.fill_later`), so a
+  predictor whose tables nobody reads never builds them.
 
 Backends: ``python`` is the always-available scalar reference (the kernel
 layer simply declines to run); ``numpy`` is the vectorised path.  The

@@ -96,8 +96,9 @@ class EventBatch:
     def lb_groups(self, table) -> dict:
         """Generation-aware grouping against a load buffer's geometry.
 
-        Memoised per ``(index_bits, ways)`` — predictors sharing a table
-        shape (e.g. a fig5 grid) reuse the same solve.  See
+        Memoised per ``(index_bits, ways)`` on this batch only:
+        :func:`repro.kernels.run_batch` builds a new batch per call, so
+        no two predictors, or engine jobs, share a solve.  See
         :func:`repro.kernels.lb.lb_solve`.
         """
         from .lb import lb_solve

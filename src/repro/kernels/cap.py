@@ -22,6 +22,7 @@ The row solver is shared with the hybrid kernel via :func:`cap_rows`
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -247,10 +248,12 @@ def plan_cap(predictor, batch: EventBatch) -> BatchResult:
     empty = np.empty(0, dtype=np.int64)
     state = {
         "lb": lb,
-        "last_addr": a_s[ends] if n else empty,
-        "offsets": rows["offsets"],
-        "history": rows["final_hist"],
-        "conf": rows["final_conf"],
+        "entries": {
+            "last_addr": a_s[ends] if n else empty,
+            "offsets": rows["offsets"],
+            "history": rows["final_hist"],
+            "conf": rows["final_conf"],
+        },
         "cfi_states": cfi_states,
         "solved_lt": rows["solved_lt"],
         "probe": {
@@ -269,33 +272,41 @@ def plan_cap(predictor, batch: EventBatch) -> BatchResult:
     )
 
 
-def commit_cap(predictor, batch: EventBatch, result: BatchResult) -> None:
+def _cap_entries(cfg, columns: dict, cfi_states: dict,
+                 gids: np.ndarray) -> list:
+    """The ``CAPState`` of each generation in ``gids``, from the
+    per-generation end-state columns ``plan_cap`` keeps (the Load Buffer
+    fill's ``make_entries``)."""
     from ..predictors.cap import CAPState
 
-    cfg = predictor.config
-    state = result.state
-    cfi_states = state["cfi_states"]
     entries = []
     rows = zip(
-        state["last_addr"].tolist(),
-        state["offsets"].tolist(),
-        state["history"].tolist(),
-        state["conf"].tolist(),
+        gids.tolist(),
+        *(columns[name][gids].tolist()
+          for name in ("last_addr", "offsets", "history", "conf")),
     )
-    for i, (addr, offset, history, conf) in enumerate(rows):
+    for gid, addr, offset, history, conf in rows:
         entry = CAPState(cfg, offset)
         entry.last_addr = addr
         entry.history = history
         entry.spec_history = history
         entry.confidence.value = conf
-        machine = cfi_states.get(i)
+        machine = cfi_states.get(gid)
         if machine is not None:
             if cfg.cfi_mode == CFI_LAST:
                 entry.cfi._bad_pattern = machine
             else:
                 entry.cfi._path_bad = machine
         entries.append(entry)
-    lb_commit(predictor.load_buffer, state["lb"], entries, batch.n_loads)
+    return entries
+
+
+def commit_cap(predictor, batch: EventBatch, result: BatchResult) -> None:
+    state = result.state
+    make_entries = partial(
+        _cap_entries, predictor.config, state["entries"], state["cfi_states"]
+    )
+    lb_commit(predictor.load_buffer, state["lb"], make_entries, batch.n_loads)
     commit_link_table(predictor.component.link_table, state["solved_lt"])
     batch.commit_control_flow(predictor)
 

@@ -23,6 +23,8 @@ timeline itself; that loop has no closed form, so the kernel raises
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..predictors.confidence import CFI_LAST, CFI_OFF
@@ -169,17 +171,19 @@ def plan_hybrid(predictor, batch: EventBatch) -> BatchResult:
     empty = np.empty(0, dtype=np.int64)
     state = {
         "lb": lb,
-        "last_addr": a_s[ends] if n else empty,
-        "offsets": crows["offsets"],
-        "history": crows["final_hist"],
-        "cap_conf": crows["final_conf"],
-        "stride": srows["stride_after"][ends] if n else empty,
-        "last_delta": srows["delta"][ends] if n else empty,
-        "multi": multi,
-        "stride_conf": srows["conf_after"][ends] if n else empty,
-        "run_length": srows["run_after"][ends] if n else empty,
-        "interval": srows["int_after"][ends] if n else empty,
-        "selector": sel_after[ends] if n else empty,
+        "entries": {
+            "last_addr": a_s[ends] if n else empty,
+            "offsets": crows["offsets"],
+            "history": crows["final_hist"],
+            "cap_conf": crows["final_conf"],
+            "stride": srows["stride_after"][ends] if n else empty,
+            "last_delta": srows["delta"][ends] if n else empty,
+            "multi": multi,
+            "stride_conf": srows["conf_after"][ends] if n else empty,
+            "run_length": srows["run_after"][ends] if n else empty,
+            "interval": srows["int_after"][ends] if n else empty,
+            "selector": sel_after[ends] if n else empty,
+        },
         "cfi_states": cfi_states,
         "solved_lt": crows["solved_lt"],
         "selstats": selstats,
@@ -209,28 +213,24 @@ def plan_hybrid(predictor, batch: EventBatch) -> BatchResult:
     return BatchResult(address, made, speculative, correct, source, _SOURCES, state)
 
 
-def commit_hybrid(predictor, batch: EventBatch, result: BatchResult) -> None:
+def _hybrid_entries(cfg, columns: dict, cfi_states: dict,
+                    gids: np.ndarray) -> list:
+    """The ``HybridEntry`` of each generation in ``gids``, from the
+    per-generation end-state columns ``plan_hybrid`` keeps (the Load
+    Buffer fill's ``make_entries``)."""
     from ..predictors.hybrid import HybridEntry
 
-    cfg = predictor.config
-    state = result.state
-    cfi_states = state["cfi_states"]
     entries = []
     rows = zip(
-        state["last_addr"].tolist(),
-        state["offsets"].tolist(),
-        state["history"].tolist(),
-        state["cap_conf"].tolist(),
-        state["stride"].tolist(),
-        state["last_delta"].tolist(),
-        state["multi"].tolist(),
-        state["stride_conf"].tolist(),
-        state["run_length"].tolist(),
-        state["interval"].tolist(),
-        state["selector"].tolist(),
+        gids.tolist(),
+        *(columns[name][gids].tolist() for name in (
+            "last_addr", "offsets", "history", "cap_conf", "stride",
+            "last_delta", "multi", "stride_conf", "run_length", "interval",
+            "selector",
+        )),
     )
-    for i, (addr, offset, history, cap_conf, stride, last_delta, multi,
-            stride_conf, run, interval, selector) in enumerate(rows):
+    for (gid, addr, offset, history, cap_conf, stride, last_delta, multi,
+         stride_conf, run, interval, selector) in rows:
         entry = HybridEntry(cfg, offset)
         cap = entry.cap
         cap.last_addr = addr
@@ -246,7 +246,7 @@ def commit_hybrid(predictor, batch: EventBatch, result: BatchResult) -> None:
         st.interval = interval
         st.spec_last_addr = addr
         entry.selector.value = selector
-        pair = cfi_states.get(i)
+        pair = cfi_states.get(gid)
         if pair is not None:
             cap_state, stride_state = pair
             if cfg.cap.cfi_mode == CFI_LAST:
@@ -258,7 +258,16 @@ def commit_hybrid(predictor, batch: EventBatch, result: BatchResult) -> None:
             elif cfg.stride.cfi_mode != CFI_OFF:
                 st.cfi._path_bad = stride_state or 0
         entries.append(entry)
-    lb_commit(predictor.load_buffer, state["lb"], entries, batch.n_loads)
+    return entries
+
+
+def commit_hybrid(predictor, batch: EventBatch, result: BatchResult) -> None:
+    state = result.state
+    make_entries = partial(
+        _hybrid_entries, predictor.config, state["entries"],
+        state["cfi_states"],
+    )
+    lb_commit(predictor.load_buffer, state["lb"], make_entries, batch.n_loads)
     commit_link_table(predictor.cap.link_table, state["solved_lt"])
     batch.commit_control_flow(predictor)
 

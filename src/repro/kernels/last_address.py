@@ -7,6 +7,8 @@ run the confidence counter trajectory over the per-key update stream.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .api import BatchResult
@@ -63,8 +65,10 @@ def plan_last_address(predictor, batch: EventBatch) -> BatchResult:
     conf_after_s[upd] = conf_after
     state = {
         "lb": lb,
-        "final_addr": a_s[ends] if n else np.empty(0, dtype=np.int64),
-        "final_conf": conf_after_s[ends] if n else np.empty(0, dtype=np.int64),
+        "entries": {
+            "last_addr": a_s[ends] if n else np.empty(0, dtype=np.int64),
+            "conf": conf_after_s[ends] if n else np.empty(0, dtype=np.int64),
+        },
     }
     return BatchResult(
         address, made, speculative, correct,
@@ -72,17 +76,26 @@ def plan_last_address(predictor, batch: EventBatch) -> BatchResult:
     )
 
 
-def commit_last_address(predictor, batch: EventBatch, result: BatchResult) -> None:
+def _last_address_entries(cfg, columns: dict, gids: np.ndarray) -> list:
+    """The table entry of each generation in ``gids``, from the
+    per-generation end-state columns (the Load Buffer fill's
+    ``make_entries``)."""
     from ..predictors.last_address import _Entry
 
-    state = result.state
     entries = []
-    for addr, conf in zip(
-        state["final_addr"].tolist(), state["final_conf"].tolist()
-    ):
-        entry = _Entry(predictor.config)
+    rows = zip(columns["last_addr"][gids].tolist(),
+               columns["conf"][gids].tolist())
+    for addr, conf in rows:
+        entry = _Entry(cfg)
         entry.last_addr = addr
         entry.confidence.value = conf
         entries.append(entry)
-    lb_commit(predictor.table, state["lb"], entries, batch.n_loads)
+    return entries
+
+
+def commit_last_address(predictor, batch: EventBatch, result: BatchResult) -> None:
+    make_entries = partial(
+        _last_address_entries, predictor.config, result.state["entries"]
+    )
+    lb_commit(predictor.table, result.state["lb"], make_entries, batch.n_loads)
     batch.commit_control_flow(predictor)

@@ -20,6 +20,8 @@ segmented solver downstream works unchanged on the generation grouping.
 
 ``hits = 2 * loads - generations``, ``misses = generations`` (each
 generation opens with the predict-time miss that inserted it).
+:func:`lb_commit` writes those statistics at once and leaves the way
+placement to the table as a pending :class:`LBFill`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .segops import seg_last_index_where
 
-__all__ = ["lb_solve", "lb_commit"]
+__all__ = ["lb_solve", "lb_commit", "LBFill"]
 
 
 def lb_solve(table, key: np.ndarray) -> dict:
@@ -41,7 +43,7 @@ def lb_solve(table, key: np.ndarray) -> dict:
 
     * ``group_keys``/``first_load``/``last_load`` — indexed by group id;
     * ``n_normal`` — groups below this id live in never-overflowing sets
-      (committed by first-occurrence way fill); the rest were replayed;
+      (placed by first-occurrence way fill); the rest were replayed;
     * ``placed`` — explicit ``(set, way, gid, last_load)`` placement for
       the ways of replayed sets still valid at end of run;
     * ``evictions`` — total evictions performed.
@@ -137,38 +139,69 @@ def lb_solve(table, key: np.ndarray) -> dict:
     }
 
 
-def lb_commit(table, solved: dict, entries: list, total_loads: int) -> None:
-    """Write a :func:`lb_solve` end state into a live SetAssociativeTable.
+def lb_commit(table, solved: dict, make_entries, total_loads: int) -> None:
+    """Commit a :func:`lb_solve` end state into a live SetAssociativeTable.
 
-    ``entries`` is parallel to the group ids (one per generation; entries
-    of evicted generations are simply never placed).
+    The statistics and the clock are written now.  The way placement is
+    handed to the table as a pending fill (:class:`LBFill`), which it
+    applies when its storage is first built.  ``make_entries(gids)``
+    returns the entry objects of the given generation ids, in order.
     """
-    index_mask = (1 << table.index_bits) - 1
-    group_keys = solved["group_keys"]
-    first_load = solved["first_load"]
-    last_load = solved["last_load"]
-    n_normal = solved["n_normal"]
-    sets = table._sets
-    fill = np.argsort(first_load[:n_normal], kind="stable")
-    for gid in fill.tolist():
-        k = int(group_keys[gid])
-        index = k & index_mask
-        tag = k >> table.index_bits
-        for way in sets[index]:
-            if way.tag is None:
-                way.tag = tag
-                way.entry = entries[gid]
-                way.lru = 2 * int(last_load[gid]) + 2
-                break
-        else:  # pragma: no cover - normal sets never overflow
-            raise AssertionError("lb_commit overflow in a non-replayed set")
-    for s, wi, gid, last in solved["placed"]:
-        way = sets[s][wi]
-        way.tag = int(group_keys[gid]) >> table.index_bits
-        way.entry = entries[gid]
-        way.lru = 2 * last + 2
-    groups = len(entries)
+    groups = len(solved["group_keys"])
     table._clock += 2 * total_loads
     table.hits += 2 * total_loads - groups
     table.misses += groups
     table.evictions += solved["evictions"]
+    table.fill_later(LBFill(table.index_bits, solved, make_entries))
+
+
+class LBFill:
+    """A Load Buffer end state, placed into the table's ways on first read.
+
+    It keeps per-generation columns only, never the per-load solver
+    arrays or the event batch: each generation's key and last load, the
+    first loads of the never-overflowing sets (their ways fill in that
+    order), the explicit placement of the replayed sets, and the kernel's
+    ``make_entries``.  Entries of evicted generations are never built.
+    """
+
+    __slots__ = ("index_bits", "keys", "last_load", "first_load", "placed",
+                 "make_entries")
+
+    def __init__(self, index_bits: int, solved: dict, make_entries) -> None:
+        self.index_bits = index_bits
+        self.keys = solved["group_keys"]
+        self.last_load = solved["last_load"]
+        self.first_load = solved["first_load"][:solved["n_normal"]]
+        self.placed = solved["placed"]
+        self.make_entries = make_entries
+
+    def __call__(self, sets: list) -> None:
+        index_bits = self.index_bits
+        index_mask = (1 << index_bits) - 1
+        fill = np.argsort(self.first_load, kind="stable")
+        placed = self.placed
+        gids = np.concatenate(
+            [fill, np.array([p[2] for p in placed], dtype=np.int64)]
+        )
+        entries = self.make_entries(gids)
+        n_fill = len(fill)
+        rows = zip(
+            self.keys[fill].tolist(),
+            (2 * self.last_load[fill] + 2).tolist(),
+            entries[:n_fill],
+        )
+        for k, lru, entry in rows:
+            for way in sets[k & index_mask]:
+                if way.tag is None:
+                    way.tag = k >> index_bits
+                    way.entry = entry
+                    way.lru = lru
+                    break
+            else:  # pragma: no cover - normal sets never overflow
+                raise AssertionError("lb_commit overflow in a non-replayed set")
+        for (s, wi, gid, last), entry in zip(placed, entries[n_fill:]):
+            way = sets[s][wi]
+            way.tag = int(self.keys[gid]) >> index_bits
+            way.entry = entry
+            way.lru = 2 * last + 2

@@ -16,6 +16,8 @@ reference runs instead.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .api import BatchFallback
@@ -40,7 +42,8 @@ def solve_link_table(
 
     Returns per-lookup outcome arrays (aligned with the ``lookup_*``
     inputs), the table statistics, and the end-of-run architectural
-    state for :func:`commit_link_table`.
+    state for :func:`commit_link_table`: per-slot ``slot``/``link``/
+    ``tag``/``stamp`` columns and per-PF-slot ``pf_slot``/``pf``.
     """
     if cfg.ways != 1:
         raise BatchFallback(
@@ -117,26 +120,28 @@ def solve_link_table(
         probe_miss = int((~lk_valid).sum())
         probe_tag_mismatch = int((lk_valid & ~tag_match).sum())
 
-    # End-of-run architectural state: the last allowed write per slot,
-    # stamped with its 1-based global update ordinal (the scalar clock).
-    ordinal = np.arange(1, nu + 1, dtype=np.int64)
-    fin_order, fin_starts = group_sort(u_slot)
-    fin_ends = np.empty(nu, dtype=bool)
+    # End-of-run architectural state, as columns: the last allowed write
+    # per slot, stamped with its 1-based global update ordinal (the
+    # scalar clock), and the last PF bits per PF slot.
+    empty = np.empty(0, dtype=np.int64)
+    state = {
+        "slot": empty, "link": empty, "tag": empty, "stamp": empty,
+        "pf_slot": empty, "pf": empty,
+    }
     if nu:
+        ordinal = np.arange(1, nu + 1, dtype=np.int64)
+        fin_order, fin_starts = group_sort(u_slot)
+        fin_ends = np.empty(nu, dtype=bool)
         fin_ends[:-1] = fin_starts[1:]
         fin_ends[-1] = True
-    last_write = seg_last_index_where(allowed[fin_order], fin_starts)
-    state: dict = {"slots": [], "pf": {}, "pf_table": {}}
-    if nu:
+        last_write = seg_last_index_where(allowed[fin_order], fin_starts)
         at_ends = last_write[fin_ends]
         live = at_ends >= 0
         src = fin_order[at_ends[live]]
-        state["slots"] = list(zip(
-            u_slot[fin_order][fin_ends][live].tolist(),
-            u_value[src].tolist(),
-            u_tag[src].tolist(),
-            ordinal[src].tolist(),
-        ))
+        state["slot"] = u_slot[fin_order][fin_ends][live]
+        state["link"] = u_value[src]
+        state["tag"] = u_tag[src]
+        state["stamp"] = ordinal[src]
     if cfg.pf_bits and nu:
         # PF bits are rewritten on every update, allowed or not: the final
         # PF per PF slot is simply the last update's PF value there.
@@ -144,13 +149,8 @@ def solve_link_table(
         pfe = np.empty(nu, dtype=bool)
         pfe[:-1] = pfs[1:]
         pfe[-1] = True
-        final_pf = dict(zip(
-            pf_slot[pfo][pfe].tolist(), pf_new[pfo][pfe].tolist()
-        ))
-        if cfg.pf_decoupled:
-            state["pf_table"] = final_pf
-        else:
-            state["pf"] = final_pf
+        state["pf_slot"] = pf_slot[pfo][pfe]
+        state["pf"] = pf_new[pfo][pfe]
 
     return {
         "valid": lk_valid,
@@ -170,7 +170,12 @@ def solve_link_table(
 
 
 def commit_link_table(table, solved: dict) -> None:
-    """Write a solver result's end state into a live ``LinkTable``."""
+    """Commit a solver result's end state into a live ``LinkTable``.
+
+    Statistics, probe counts and the decoupled PF table are written now.
+    The slots, and PF bits kept in the ways, are handed to the table as
+    a pending fill, which it applies when its storage is first built.
+    """
     stats = solved["stats"]
     table.lookups += stats["lookups"]
     table.tag_mismatches += stats["tag_mismatches"]
@@ -178,19 +183,30 @@ def commit_link_table(table, solved: dict) -> None:
     table.link_writes += stats["link_writes"]
     table._clock += stats["clock"]
     state = solved["state"]
-    pf = state["pf"]
-    for slot, value, tag, stamp in state["slots"]:
-        entry = table._sets[slot][0]
-        entry.link = value
-        entry.tag = tag
-        entry.stamp = stamp
-    for slot, pf_value in pf.items():
-        table._sets[slot][0].pf = pf_value
-    if table._pf_table is not None:
-        for slot, pf_value in state["pf_table"].items():
-            table._pf_table[slot] = pf_value
+    pf_table = table._pf_table
+    if pf_table is not None:
+        for slot, pf_value in zip(state["pf_slot"].tolist(),
+                                  state["pf"].tolist()):
+            pf_table[slot] = pf_value
+    table.fill_later(partial(_place_links, state, pf_table is None))
     probe = table.probe
     if probe is not None:
         probe.lt_misses += stats["probe_lt_misses"]
         probe.lt_tag_mismatches += stats["probe_lt_tag_mismatches"]
         probe.pf_rejections += stats["pf_rejections"]
+
+
+def _place_links(state: dict, pf_in_ways: bool, sets: list) -> None:
+    """A pending Link Table fill: write the end-state columns into the
+    (direct-mapped) ways."""
+    rows = zip(state["slot"].tolist(), state["link"].tolist(),
+               state["tag"].tolist(), state["stamp"].tolist())
+    for slot, link, tag, stamp in rows:
+        entry = sets[slot][0]
+        entry.link = link
+        entry.tag = tag
+        entry.stamp = stamp
+    if pf_in_ways:
+        for slot, pf_value in zip(state["pf_slot"].tolist(),
+                                  state["pf"].tolist()):
+            sets[slot][0].pf = pf_value

@@ -14,6 +14,8 @@ coupled through selector arbitration and resolve jointly).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..predictors.confidence import CFI_LAST, CFI_OFF
@@ -161,13 +163,15 @@ def plan_stride(predictor, batch: EventBatch) -> BatchResult:
     empty = np.empty(0, dtype=np.int64)
     state = {
         "lb": lb,
-        "last_addr": a_s[ends] if n else empty,
-        "stride": rows["stride_after"][ends] if n else empty,
-        "last_delta": rows["delta"][ends] if n else empty,
-        "multi": multi,
-        "conf": rows["conf_after"][ends] if n else empty,
-        "run_length": rows["run_after"][ends] if n else empty,
-        "interval": rows["int_after"][ends] if n else empty,
+        "entries": {
+            "last_addr": a_s[ends] if n else empty,
+            "stride": rows["stride_after"][ends] if n else empty,
+            "last_delta": rows["delta"][ends] if n else empty,
+            "multi": multi,
+            "conf": rows["conf_after"][ends] if n else empty,
+            "run_length": rows["run_after"][ends] if n else empty,
+            "interval": rows["int_after"][ends] if n else empty,
+        },
         "cfi_states": cfi_states,
         "probe": {
             "lb_misses": int(starts.sum()),
@@ -188,23 +192,22 @@ def plan_stride(predictor, batch: EventBatch) -> BatchResult:
     )
 
 
-def commit_stride(predictor, batch: EventBatch, result: BatchResult) -> None:
+def _stride_entries(cfg, columns: dict, cfi_states: dict,
+                    gids: np.ndarray) -> list:
+    """The ``StrideState`` of each generation in ``gids``, from the
+    per-generation end-state columns ``plan_stride`` keeps (the Load
+    Buffer fill's ``make_entries``)."""
     from ..predictors.stride import StrideState
 
-    cfg = predictor.config
-    state = result.state
-    cfi_states = state["cfi_states"]
     entries = []
     rows = zip(
-        state["last_addr"].tolist(),
-        state["stride"].tolist(),
-        state["last_delta"].tolist(),
-        state["multi"].tolist(),
-        state["conf"].tolist(),
-        state["run_length"].tolist(),
-        state["interval"].tolist(),
+        gids.tolist(),
+        *(columns[name][gids].tolist() for name in (
+            "last_addr", "stride", "last_delta", "multi", "conf",
+            "run_length", "interval",
+        )),
     )
-    for i, (addr, stride, last_delta, multi, conf, run, interval) in enumerate(rows):
+    for gid, addr, stride, last_delta, multi, conf, run, interval in rows:
         entry = StrideState(cfg)
         entry.last_addr = addr
         entry.stride = stride
@@ -213,14 +216,23 @@ def commit_stride(predictor, batch: EventBatch, result: BatchResult) -> None:
         entry.run_length = run
         entry.interval = interval
         entry.spec_last_addr = addr
-        machine = cfi_states.get(i)
+        machine = cfi_states.get(gid)
         if machine is not None:
             if cfg.cfi_mode == CFI_LAST:
                 entry.cfi._bad_pattern = machine
             else:
                 entry.cfi._path_bad = machine
         entries.append(entry)
-    lb_commit(predictor.table, state["lb"], entries, batch.n_loads)
+    return entries
+
+
+def commit_stride(predictor, batch: EventBatch, result: BatchResult) -> None:
+    state = result.state
+    make_entries = partial(
+        _stride_entries, predictor.config, state["entries"],
+        state["cfi_states"],
+    )
+    lb_commit(predictor.table, state["lb"], make_entries, batch.n_loads)
     batch.commit_control_flow(predictor)
 
     counts = state["probe"]

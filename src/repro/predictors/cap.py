@@ -349,7 +349,8 @@ class CAPPredictor(AddressPredictor):
         return plan_cap(self, batch)
 
     def update_batch(self, batch, result) -> None:
-        """Commit a batch result's end state into the live tables."""
+        """Commit a batch result's end state: statistics now, table
+        entries as pending fills applied on first read."""
         from ..kernels.cap import commit_cap
 
         commit_cap(self, batch, result)

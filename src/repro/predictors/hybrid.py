@@ -275,7 +275,8 @@ class HybridPredictor(AddressPredictor):
         return plan_hybrid(self, batch)
 
     def update_batch(self, batch, result) -> None:
-        """Commit a batch result's end state into the live tables."""
+        """Commit a batch result's end state: statistics now, table
+        entries as pending fills applied on first read."""
         from ..kernels.hybrid import commit_hybrid
 
         commit_hybrid(self, batch, result)

@@ -85,7 +85,8 @@ class LastAddressPredictor(AddressPredictor):
         return plan_last_address(self, batch)
 
     def update_batch(self, batch, result) -> None:
-        """Commit a batch result's end state into the live tables."""
+        """Commit a batch result's end state: statistics now, table
+        entries as pending fills applied on first read."""
         from ..kernels.last_address import commit_last_address
 
         commit_last_address(self, batch, result)

@@ -14,6 +14,10 @@ mechanisms live here:
 * **Decoupled PF table** (Section 3.5, after [Mora98]): optionally the PF
   bits move to a larger direct-mapped side table indexed by more history
   bits, giving finer granularity for the same LT size.
+
+Like the Load Buffer, the LT builds its ways on first access
+(:class:`~repro.common.tables.LazySets`).  The decoupled PF table is
+built at once.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from ..common.bitops import bits, mask
+from ..common.tables import LazySets
 
 __all__ = ["LinkTableConfig", "LinkEntry", "LinkTable"]
 
@@ -78,17 +83,14 @@ class LinkEntry:
         return self.link is not None
 
 
-class LinkTable:
+class LinkTable(LazySets[LinkEntry]):
     """History-indexed link storage with tags and PF-gated updates."""
 
     def __init__(self, config: LinkTableConfig | None = None) -> None:
         self.config = config or LinkTableConfig()
         cfg = self.config
-        self.num_sets = cfg.entries // cfg.ways
+        super().__init__(cfg.entries // cfg.ways, cfg.ways, LinkEntry)
         self._index_mask = mask(cfg.index_bits)
-        self._sets: List[List[LinkEntry]] = [
-            [LinkEntry() for _ in range(cfg.ways)] for _ in range(self.num_sets)
-        ]
         self._clock = 0
         # Decoupled PF side table (optional).
         if cfg.pf_decoupled:
@@ -134,7 +136,10 @@ class LinkTable:
         confidence check.  Without tags every valid link is ``tag_ok``.
         """
         self.lookups += 1
-        ways = self._sets[self._index(history)]
+        sets = self._sets
+        if sets is None:
+            sets = self.sets()
+        ways = sets[self._index(history)]
         tag = self._tag(history)
         if self.config.tag_bits == 0:
             entry = ways[0]
@@ -192,7 +197,10 @@ class LinkTable:
 
         Returns True when the link was actually written (PF permitting).
         """
-        ways = self._sets[self._index(history)]
+        sets = self._sets
+        if sets is None:
+            sets = self.sets()
+        ways = sets[self._index(history)]
         tag = self._tag(history)
         self._clock += 1
 
@@ -221,13 +229,8 @@ class LinkTable:
     # -- housekeeping ----------------------------------------------------------
 
     def clear(self) -> None:
-        """Invalidate every entry and reset statistics."""
-        for ways in self._sets:
-            for entry in ways:
-                entry.link = None
-                entry.tag = None
-                entry.pf = None
-                entry.stamp = 0
+        """Drop every entry, and any pending fill, and reset statistics."""
+        super().clear()
         if self._pf_table is not None:
             self._pf_table = [None] * self.config.pf_table_entries
         self._clock = 0
@@ -238,7 +241,7 @@ class LinkTable:
 
     def occupancy(self) -> int:
         """Number of valid links stored."""
-        return sum(1 for ways in self._sets for e in ways if e.valid)
+        return sum(1 for ways in self.sets() for e in ways if e.valid)
 
     def dump(self) -> List[Tuple[int, int, int, Optional[int], Optional[int]]]:
         """Architectural contents: ``(set, way, link, tag, pf)`` per valid way.
@@ -250,7 +253,7 @@ class LinkTable:
         """
         return [
             (set_index, way_index, entry.link, entry.tag, entry.pf)
-            for set_index, ways in enumerate(self._sets)
+            for set_index, ways in enumerate(self.sets())
             for way_index, entry in enumerate(ways)
             if entry.valid
         ]

@@ -284,7 +284,8 @@ class StridePredictor(AddressPredictor):
         return plan_stride(self, batch)
 
     def update_batch(self, batch, result) -> None:
-        """Commit a batch result's end state into the live tables."""
+        """Commit a batch result's end state: statistics now, table
+        entries as pending fills applied on first read."""
         from ..kernels.stride import commit_stride
 
         commit_stride(self, batch, result)

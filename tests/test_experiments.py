@@ -7,6 +7,7 @@ numbers come from the benchmark harness.
 import pytest
 
 from repro.eval import experiments as E
+from repro.obs.metrics import global_registry
 
 TRACES = ["INT_xli", "MM_aud"]
 INSTR = 8000
@@ -73,6 +74,34 @@ class TestFig8:
             if dist:
                 assert sum(dist.values()) == pytest.approx(1.0)
         assert result.render()
+
+
+class TestBackendParity:
+    """The grids render byte-identically on either backend.
+
+    fig8 reads each hybrid's selector statistics after its run
+    (``capture_selector``): the post-run predictor read the engine's grids
+    depend on.  One worker, so the kernel dispatch tally of the numpy
+    pass lands in this process's registry."""
+
+    @pytest.mark.parametrize("figure, variants", [("fig5", 3), ("fig8", 1)])
+    def test_tables_match_across_backends(self, figure, variants,
+                                          monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        rendered = {}
+        dispatched = {}
+        for backend in ("python", "numpy"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            before = global_registry().snapshot()["counters"]
+            result = getattr(E, figure)(traces=TRACES, instructions=INSTR)
+            rendered[backend] = result.render()
+            after = global_registry().snapshot()["counters"]
+            dispatched[backend] = sum(
+                count - before.get(name, 0) for name, count in after.items()
+                if name.startswith("kernels.") and name.endswith(".dispatched")
+            )
+        assert dispatched == {"python": 0, "numpy": variants * len(TRACES)}
+        assert rendered["python"].encode() == rendered["numpy"].encode()
 
 
 class TestFig9:

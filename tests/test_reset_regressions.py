@@ -9,8 +9,16 @@ state is exercised, reset, and the object must then behave
 bit-identically to a freshly constructed one.
 """
 
+import random
+
+import pytest
+
+from repro.eval.metrics import PredictorMetrics
+from repro.eval.runner import run_scalar
+from repro.kernels import run_batch
 from repro.timing.cache import CacheConfig, CacheHierarchy, CacheLevel
 from repro.timing.prefetch import PrefetchConfig, StridePrefetcher
+from test_kernels import ROSTER, make_stream, metrics_tuple
 
 
 def _exercise_level(level, base=0x1000):
@@ -89,3 +97,25 @@ class TestStridePrefetcherReset:
         # A trained-but-unreset table would keep its confident strides and
         # issue prefetches from the very first observation again.
         assert reused.issued == fresh.issued
+
+
+class TestKernelRunReset:
+    """A batch-kernel run leaves its tables unbuilt, each with a pending
+    fill of the run's end state.  ``reset()`` must drop the fill along
+    with the storage: a fill that survived would be applied when the
+    next run first reads the table."""
+
+    @pytest.mark.parametrize("name,factory,dump", ROSTER,
+                             ids=[name for name, _, _ in ROSTER])
+    def test_scalar_run_after_reset_matches_fresh(self, name, factory, dump):
+        stream = make_stream(random.Random(f"reset-{name}"), 1500, 23)
+        reused = factory()
+        assert run_batch(reused, stream) is not None
+        reused.reset()
+
+        fresh = factory()
+        m_reused, m_fresh = PredictorMetrics(), PredictorMetrics()
+        run_scalar(reused, stream, m_reused)
+        run_scalar(fresh, stream, m_fresh)
+        assert metrics_tuple(m_reused) == metrics_tuple(m_fresh)
+        assert dump(reused) == dump(fresh)
