@@ -15,7 +15,7 @@ counters.  Usage::
 
 ``--spawn`` starts a private server subprocess on an ephemeral port and
 drains it with SIGTERM afterwards — the CI smoke job's one-liner.  The
-report validates against ``repro.telemetry/slo_report.schema.json``
+report validates against ``repro/obs/slo_report.schema.json``
 before it is written; ``python -m repro stats slo report.json`` renders
 and re-validates it later.
 """
@@ -38,11 +38,11 @@ SRC = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.serve import protocol  # noqa: E402
-from repro.telemetry.manifest import perf_clock  # noqa: E402
-from repro.telemetry.schema import load_schema, validate  # noqa: E402
+from repro.obs.manifest import perf_clock  # noqa: E402
+from repro.obs.schema import load_schema, validate  # noqa: E402
 from repro.verify.fuzz import generate_events  # noqa: E402
 
-SLO_SCHEMA_PATH = SRC / "repro" / "telemetry" / "slo_report.schema.json"
+SLO_SCHEMA_PATH = SRC / "repro" / "obs" / "slo_report.schema.json"
 READY_PREFIX = "repro-serve listening on "
 ADMIN_READY_PREFIX = "repro-serve admin on "
 

@@ -30,7 +30,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.telemetry.stats import (  # noqa: E402
+from repro.obs.stats import (  # noqa: E402
     BENCH_SCHEMA_ID,
     check_bench_file,
 )
@@ -58,7 +58,7 @@ def _observed_backend(requested: str) -> str:
     """
     from repro.eval.engine import Job, execute_job
     from repro.eval.experiments import quick_trace_set
-    from repro.telemetry.stats import DEFAULT_VARIANTS
+    from repro.obs.stats import DEFAULT_VARIANTS
 
     previous = os.environ.get("REPRO_BACKEND")
     os.environ["REPRO_BACKEND"] = requested

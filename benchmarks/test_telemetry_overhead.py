@@ -1,6 +1,6 @@
 """Guard: disabled instrumentation must not slow the columnar loop.
 
-The telemetry probes are wired as ``if self.probe is not None:`` checks on
+The attribution probes are wired as ``if self.probe is not None:`` checks on
 the predictor hot paths.  This benchmark freezes a copy of the stride
 predictor exactly as it was *before* those checks existed (``_Seed*``
 classes below) and times both against :func:`run_on_columns`, asserting the

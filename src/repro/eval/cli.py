@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Callable, Dict, List, Optional
 
+from ..obs.manifest import perf_clock
 from ..workloads import suites
 from . import config as run_config
 from . import experiments as E
@@ -117,11 +117,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         traces = E.quick_trace_set()
 
-    # Wall-clock here only feeds the "[N traces, Ns]" status line printed
-    # after the results; no simulated state depends on it.
-    started = time.time()  # repro-lint: disable=R002
+    # The clock only feeds the "[N traces, Ns]" status line printed after
+    # the results; no simulated state depends on it.
+    started = perf_clock()
     result = driver(traces=traces, instructions=args.instructions)
-    elapsed = time.time() - started  # repro-lint: disable=R002
+    elapsed = perf_clock() - started
     if args.chart and hasattr(result, "render_chart"):
         print(result.render_chart())
     else:
@@ -277,9 +277,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    # Imported lazily: telemetry.stats pulls in the engine, which the
-    # other subcommands don't need at parse time.
-    from ..telemetry import stats as S
+    # Imported lazily: obs.stats pulls in the engine, which the other
+    # subcommands don't need at parse time.
+    from ..obs import stats as S
 
     mode = args.stats_mode
     if mode == "breakdown":

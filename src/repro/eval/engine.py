@@ -24,13 +24,13 @@ Design rules:
 
 from __future__ import annotations
 
-import os
-import platform
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
+from ..obs import manifest as run_manifest
+from ..obs.metrics import global_registry
 from ..pipeline.delayed import PipelinedPredictor
 from ..predictors.base import AddressPredictor
 from ..predictors.cap import CAPConfig, CAPPredictor
@@ -41,15 +41,13 @@ from ..predictors.gshare_address import (
 from ..predictors.hybrid import HybridConfig, HybridPredictor, SelectorStats
 from ..predictors.last_address import LastAddressConfig, LastAddressPredictor
 from ..predictors.stride import StrideConfig, StridePredictor
-from ..telemetry import manifest as run_manifest
-from ..telemetry.instrumentation import AttributionProbe, instrument_predictor
 from ..timing.machine import MachineConfig
 from ..timing.ooo import simulate
 from ..trace.trace import PredictorStream, Trace
 from ..workloads import suites as suite_registry
 from . import config as run_config
-from .metrics import AttributionCounters, PredictorMetrics
-from .runner import load_outcomes, run_on_columns
+from .metrics import PredictorMetrics
+from .runner import load_outcomes, new_metrics, run_on_columns
 
 __all__ = [
     "FACTORIES",
@@ -129,10 +127,11 @@ class Job:
     :data:`repro.verify.differential.VARIANTS` entry and the result carries
     a formatted divergence report (or ``None`` when all paths agree).
 
-    ``instrument=True`` attaches an attribution probe to the predictor tree
-    and returns :class:`~repro.eval.metrics.AttributionCounters` (a
-    :class:`~repro.eval.metrics.PredictorMetrics` subclass) instead of
-    plain metrics — the backbone of ``python -m repro stats``.
+    ``instrument=True`` counts into
+    :class:`~repro.eval.metrics.AttributionCounters` (a
+    :class:`~repro.eval.metrics.PredictorMetrics` subclass) attached to
+    the predictor tree as its probe, instead of plain metrics — the
+    backbone of ``python -m repro stats``.
     """
 
     trace: str
@@ -244,9 +243,10 @@ def build_predictor(job: Job) -> AddressPredictor:
 def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
     """Run one job in the current process, recording run details in ``aux``.
 
-    ``aux`` receives ``events``/``loads`` counts and the attribution
-    ``probe`` (instrumented jobs) — the raw material for the job's run
-    manifest.
+    ``aux`` receives ``events``/``loads`` counts and the ``metrics`` the
+    predictor counted into (a timing job's result carries cycles, but its
+    manifest still reports the attribution) — the raw material for the
+    job's run manifest.
     """
     if job.kind == KIND_VERIFY:
         # Imported lazily: most engine users never touch the verifier.
@@ -285,19 +285,10 @@ def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
         )
 
     predictor = build_predictor(job)
-    metrics: PredictorMetrics
-    probe = None
-    if job.instrument:
-        probe = AttributionProbe()
-        aux["probe"] = probe
-        instrument_predictor(predictor, probe)
-        metrics = AttributionCounters(
-            name=job.variant or predictor.name, trace=job.trace, suite=suite,
-        )
-    else:
-        metrics = PredictorMetrics(
-            name=job.variant or predictor.name, trace=job.trace, suite=suite,
-        )
+    metrics = new_metrics(
+        predictor, job.variant, job.trace, suite, job.instrument
+    )
+    aux["metrics"] = metrics
     if job.kind == KIND_TIMING:
         outcomes = load_outcomes(predictor, stream, metrics)
         timing = simulate(trace, outcomes, job.machine)
@@ -307,9 +298,6 @@ def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
         )
     warmup = int(stream.loads * job.warmup_fraction)
     run_on_columns(predictor, stream, metrics, warmup_loads=warmup)
-    if probe is not None:
-        assert isinstance(metrics, AttributionCounters)
-        metrics.absorb_probe(probe)
     selector_stats = None
     if job.capture_selector:
         core = getattr(predictor, "inner", predictor)
@@ -332,23 +320,6 @@ def _build_manifest(
     """Assemble one run-manifest dict (``run_manifest.schema.json``)."""
     from ..workloads import registry as external_registry
 
-    loads = aux.get("loads")
-    probe = aux.get("probe")
-    metrics = result.metrics
-    metrics_record: Optional[Dict[str, Any]] = None
-    if metrics is not None:
-        metrics_record = {
-            "loads": metrics.loads,
-            "predictions": metrics.predictions,
-            "speculative": metrics.speculative,
-            "correct_speculative": metrics.correct_speculative,
-            "correct_predictions": metrics.correct_predictions,
-            "prediction_rate": metrics.prediction_rate,
-            "accuracy": metrics.accuracy,
-            "misprediction_rate": metrics.misprediction_rate,
-            "correct_rate": metrics.correct_rate,
-            "coverage": metrics.coverage,
-        }
     # Registry (ingested) traces cache under their own digest-stamped
     # naming and carry ingest provenance: format, source digest, record
     # counts and drop reasons travel into the manifest so an external
@@ -365,57 +336,27 @@ def _build_manifest(
         "name": job.trace,
         "suite": result.suite,
         "events": aux.get("events"),
-        "loads": loads,
+        "loads": aux.get("loads"),
         "cache": run_manifest.file_provenance(cache_file),
     }
     if ingest is not None:
         trace_record["ingest"] = ingest
-    from dataclasses import asdict
-
-    from ..obs.metrics import global_registry
-
     # trace_id is observability metadata, not configuration: hash the
     # spec without it so traced and untraced runs of the same job agree.
     hashable = {
         k: v for k, v in asdict(job).items() if k != "trace_id"
     }
-    return {
-        "schema": run_manifest.MANIFEST_SCHEMA_ID,
-        "config_hash": run_manifest.config_hash(hashable),
-        "job": {
-            "trace": job.trace,
-            "factory": job.factory,
-            "variant": job.variant,
-            "kind": job.kind,
-            "overrides": run_manifest.jsonable(job.overrides),
-            "instructions": job.instructions,
-            "warmup_fraction": job.warmup_fraction,
-            "gap": job.gap,
-            "instrument": job.instrument,
-        },
-        "trace": trace_record,
-        "run": {
-            "started_at": run_manifest.iso_utc(started_wall),
-            "wall_s": wall_s,
-            "cpu_s": cpu_s,
-            "loads_per_sec": (
-                loads / wall_s if loads and wall_s > 0 else None
-            ),
-            "peak_rss_kb": run_manifest.peak_rss_kb(),
-            "pid": os.getpid(),
-            "python": platform.python_version(),
-            "backend": result.backend,
-        },
-        "metrics": metrics_record,
-        "cycles": result.cycles,
-        "divergence": result.divergence,
-        "obs": {
-            "trace_id": job.trace_id,
-            "flight_recorder": None,
-            "metrics": global_registry().snapshot(),
-        },
-        "attribution": probe.as_dict() if probe is not None else None,
-    }
+    return run_manifest.build_manifest(
+        hashable, job, trace_record,
+        started_wall=started_wall, wall_s=wall_s, cpu_s=cpu_s,
+        backend=result.backend,
+        metrics=result.metrics,
+        attribution=run_manifest.attribution_record(aux.get("metrics")),
+        cycles=result.cycles,
+        divergence=result.divergence,
+        trace_id=job.trace_id,
+        registry=global_registry().snapshot(),
+    )
 
 
 def execute_job(job: Job) -> JobResult:
@@ -427,8 +368,6 @@ def execute_job(job: Job) -> JobResult:
     worker processes just as in serial runs, since the flag travels
     through the inherited environment.
     """
-    from ..obs.metrics import global_registry
-
     registry = global_registry()
     if not run_manifest.enabled():
         started_perf = run_manifest.perf_clock()
@@ -476,8 +415,6 @@ def run_jobs(
     results are stitched back by submission index, so the output is
     independent of worker scheduling.
     """
-    from ..obs.metrics import global_registry
-
     job_list: Sequence[Job] = list(jobs)
     workers = resolve_jobs(max_workers)
     if workers == 1 or len(job_list) < 2:

@@ -12,9 +12,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 __all__ = [
+    "ATTRIBUTION_FIELDS",
     "AttributionCounters",
     "PredictorMetrics",
     "SuiteMetrics",
@@ -121,14 +122,37 @@ class PredictorMetrics:
 
 @dataclass
 class AttributionCounters(PredictorMetrics):
-    """:class:`PredictorMetrics` extended with attribution counters.
+    """:class:`PredictorMetrics` plus one counter per misprediction cause.
 
-    One integer per telemetry event type, in the canonical order of
-    ``repro.telemetry.instrumentation.ATTRIBUTION_FIELDS`` (a unit test
-    pins the two field lists together; this module deliberately does not
-    import the telemetry package, keeping ``eval`` importable without it).
-    Instances survive the engine's deterministic merge like any other
-    metrics object: :meth:`add` is generic over dataclass fields.
+    An instrumented run attaches this object to the predictor tree as its
+    *probe* (:func:`repro.eval.runner.instrument_predictor`): each
+    simulator component holds a ``probe`` attribute that is ``None``
+    unless instrumented, and on a rare branch (a table miss, a veto, a
+    rollback) writes ``self.probe.<cause> += 1``; the batch kernels' commits
+    add their per-cause totals the same way.  So the object that counts a
+    job's predictions also counts why they went wrong, and it survives the
+    engine's deterministic merge like any other metrics object
+    (:meth:`add` is generic over dataclass fields).
+
+    =====================  ================================================
+    ``lb_misses``          load missed the Load Buffer — no per-load state
+    ``lt_misses``          Link Table had no stored link for the context
+    ``lt_tag_mismatches``  a link was stored but its tag disagreed (§3.4)
+    ``pf_rejections``      PF bits blocked a Link Table write (§3.5)
+    ``confidence_vetoes``  saturating confidence counter withheld speculation
+    ``cfi_vetoes``         control-flow indication blocked the GHR path
+    ``interval_stops``     stride interval exhausted — speculation withheld
+    ``drain_suppressions`` wrong-path instances still draining (§5.2)
+    ``selector_cap``       hybrid selector routed a speculative access to CAP
+    ``selector_stride``    hybrid selector routed one to stride
+    ``catchups_fired``     stride catch-up extrapolation fired (§5.2)
+    ``spec_rollbacks``     CAP speculative history repaired after a miss
+    ``cfi_bad_patterns``   a CFI bad-path pattern was recorded
+    ``pipeline_flushes``   branch redirect drained the pipelined update queue
+    =====================  ================================================
+
+    A veto is charged to the first mechanism in the predictor's own
+    short-circuit order that withheld speculation.
     """
 
     lb_misses: int = 0
@@ -148,21 +172,13 @@ class AttributionCounters(PredictorMetrics):
 
     def attribution(self) -> Dict[str, int]:
         """The attribution counters alone, as an ordered plain dict."""
-        base = {spec.name for spec in fields(PredictorMetrics)}
-        return {
-            spec.name: getattr(self, spec.name)
-            for spec in fields(self)
-            if spec.name not in base
-        }
+        return {name: getattr(self, name) for name in ATTRIBUTION_FIELDS}
 
-    def absorb_probe(self, probe: Any) -> None:
-        """Fold an ``AttributionProbe``'s counters into this object.
 
-        Matched by field name, so the probe and this dataclass cannot
-        drift apart silently — a missing attribute raises.
-        """
-        for name in self.attribution():
-            setattr(self, name, getattr(self, name) + getattr(probe, name))
+#: The attribution counter names, in field (rendering) order.
+ATTRIBUTION_FIELDS = tuple(
+    spec.name for spec in fields(AttributionCounters)
+)[len(fields(PredictorMetrics)):]
 
 
 @dataclass

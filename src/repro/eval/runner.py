@@ -16,26 +16,94 @@ load's outcome, the column the timing model
 packs a tuple list into columns and calls :func:`run_on_columns`;
 :func:`run_predictor` is the one-shot convenience over both.  The served
 :class:`~repro.serve.session.PredictorSession` calls the same two pieces.
+
+Every caller starts its counters with :func:`new_metrics`, which for an
+instrumented run also wires the counters through the predictor tree as
+its attribution probe (:func:`instrument_predictor`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..kernels import try_run_batch
+from ..pipeline.delayed import PipelinedPredictor
 from ..predictors.base import AddressPredictor, Prediction
+from ..predictors.cap import CAPComponent, CAPPredictor
+from ..predictors.hybrid import HybridPredictor
+from ..predictors.stride import StridePredictor
 from ..trace.trace import PredictorStream, Trace
 from .metrics import AttributionCounters, PredictorMetrics
 
 __all__ = [
+    "instrument_predictor",
     "load_outcomes",
+    "new_metrics",
     "run_on_columns",
     "run_on_stream",
     "run_predictor",
     "run_scalar",
 ]
+
+
+def instrument_predictor(predictor: Any, probe: AttributionCounters) -> None:
+    """Attach ``probe`` to every instrumented component of ``predictor``.
+
+    Attachment happens from the outside — predictors only carry a
+    ``probe`` attribute initialised to ``None`` — so the simulator layer
+    never imports this module, and a probe is never part of a predictor's
+    learned state (``reset()`` forgets tables, not wiring).
+
+    Handles the stand-alone CAP/stride predictors, the shared-LB hybrid
+    (both embedded components plus its Link Table), and a
+    :class:`~repro.pipeline.delayed.PipelinedPredictor` wrapper (the probe
+    reaches both the wrapper, for flush events, and the wrapped core).
+    Other predictor types get the top-level attribute only, which is
+    harmless: components that never emit never read it.
+    """
+    if isinstance(predictor, PipelinedPredictor):
+        predictor.probe = probe
+        instrument_predictor(predictor.inner, probe)
+        return
+    predictor.probe = probe
+    if isinstance(predictor, CAPPredictor):
+        _instrument_cap_component(predictor.component, probe)
+    elif isinstance(predictor, StridePredictor):
+        predictor.logic.probe = probe
+    elif isinstance(predictor, HybridPredictor):
+        _instrument_cap_component(predictor.cap, probe)
+        predictor.stride_logic.probe = probe
+
+
+def _instrument_cap_component(
+    component: CAPComponent, probe: AttributionCounters
+) -> None:
+    component.probe = probe
+    component.link_table.probe = probe
+
+
+def new_metrics(
+    predictor: AddressPredictor,
+    name: str = "",
+    trace: str = "",
+    suite: str = "",
+    instrument: bool = False,
+) -> PredictorMetrics:
+    """Fresh counters for one evaluation of ``predictor``.
+
+    ``name`` defaults to the predictor's own.  With ``instrument=True``
+    the result is an :class:`~repro.eval.metrics.AttributionCounters`
+    attached to the predictor tree as its probe, so the attribution
+    events land in the same object that counts the predictions.
+    """
+    label = name or predictor.name
+    if not instrument:
+        return PredictorMetrics(name=label, trace=trace, suite=suite)
+    metrics = AttributionCounters(name=label, trace=trace, suite=suite)
+    instrument_predictor(predictor, metrics)
+    return metrics
 
 
 def _columns_of(events: Iterable[Sequence[int]]) -> PredictorStream:
@@ -192,10 +260,9 @@ def run_predictor(
     stream), a :class:`PredictorStream`, or an already-extracted list of
     stream tuples (useful when evaluating many predictors over one trace).
 
-    With ``instrument=True`` an attribution probe is attached to the
-    predictor tree and the result is an
+    With ``instrument=True`` the result is an
     :class:`~repro.eval.metrics.AttributionCounters` carrying the
-    per-component misprediction-cause breakdown.
+    per-component misprediction-cause breakdown (see :func:`new_metrics`).
     """
     trace_name = ""
     suite = ""
@@ -207,27 +274,5 @@ def run_predictor(
         stream = trace
     else:
         stream = _columns_of(trace)
-    metrics: PredictorMetrics
-    probe = None
-    if instrument:
-        # Imported here: the runner itself stays telemetry-free for the
-        # (overwhelmingly common) uninstrumented path.
-        from ..telemetry.instrumentation import (
-            AttributionProbe,
-            instrument_predictor,
-        )
-
-        probe = AttributionProbe()
-        instrument_predictor(predictor, probe)
-        metrics = AttributionCounters(
-            name=name or predictor.name, trace=trace_name, suite=suite,
-        )
-    else:
-        metrics = PredictorMetrics(
-            name=name or predictor.name, trace=trace_name, suite=suite,
-        )
-    run_on_columns(predictor, stream, metrics, warmup_loads)
-    if probe is not None:
-        assert isinstance(metrics, AttributionCounters)
-        metrics.absorb_probe(probe)
-    return metrics
+    metrics = new_metrics(predictor, name or "", trace_name, suite, instrument)
+    return run_on_columns(predictor, stream, metrics, warmup_loads)

@@ -62,10 +62,12 @@ def supports_batch(predictor) -> bool:
     )
 
 
-def run_batch(predictor, stream, warmup_loads: int = 0) -> Optional[BatchResult]:
+def run_batch(predictor, stream) -> Optional[BatchResult]:
     """Run the kernel path unconditionally; ``None`` on :class:`BatchFallback`.
 
-    The predictor must pass :func:`supports_batch`.  On success the
+    The kernels evaluate every load; warm-up only changes which loads
+    :func:`fold_metrics` counts.  The predictor must pass
+    :func:`supports_batch`.  On success the
     predictor holds the same end-of-stream state the scalar path would
     have produced: its statistics at once, its table entries as pending
     fills that each table applies on first read.
@@ -100,7 +102,7 @@ def try_run_batch(
     ):
         record_dispatch(predictor, "declined")
         return None
-    result = run_batch(predictor, stream, warmup_loads)
+    result = run_batch(predictor, stream)
     if result is None:
         record_dispatch(predictor, "fallback")
         return None

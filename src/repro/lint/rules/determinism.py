@@ -86,9 +86,10 @@ CLOCK_FUNCS = frozenset(
 ENV_ALLOWED_MODULES = ("eval/config.py",)
 
 #: Packages whose *job* is measuring wall time: the observability plane
-#: (``repro.obs``) exists to timestamp spans, latency histograms and
-#: flight-recorder events, so its ``perf_counter()`` reads are the
-#: product, not a leak into simulation state.  Nothing in ``obs/`` feeds
+#: (``repro.obs``) exists to timestamp spans, latency histograms,
+#: flight-recorder events and run manifests, so its clock reads (the
+#: ``wall_clock``/``perf_clock`` the rest of the tree calls included) are
+#: the product, not a leak into simulation state.  Nothing in ``obs/`` feeds
 #: predictor or trace state — the import graph only flows the other way
 #: (serve/eval/kernels *call into* obs) — so the exemption is scoped to
 #: the package rather than sprinkled as per-line suppressions.

@@ -25,6 +25,9 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from .manifest import iso_utc, wall_clock
+from .schema import load_schema, validate
+
 __all__ = [
     "POSTMORTEM_SCHEMA_ID",
     "POSTMORTEM_SCHEMA_PATH",
@@ -82,15 +85,13 @@ class FlightRecorder:
         context: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
         """The postmortem manifest dict for a session (does not write)."""
-        from ..telemetry import manifest as run_manifest
-
         events = self.events(session_id)
         base = events[0][1] if events else 0.0
         return {
             "schema": POSTMORTEM_SCHEMA_ID,
             "session": session_id,
             "reason": reason,
-            "written_at": run_manifest.iso_utc(run_manifest.wall_clock()),
+            "written_at": iso_utc(wall_clock()),
             "pid": os.getpid(),
             "events_recorded": len(events),
             "events": [
@@ -134,6 +135,4 @@ class FlightRecorder:
 
 def validate_postmortem(document: Any) -> List[str]:
     """Violations of the checked-in postmortem schema (empty = valid)."""
-    from ..telemetry.schema import load_schema, validate
-
     return validate(document, load_schema(POSTMORTEM_SCHEMA_PATH))

@@ -16,7 +16,7 @@ Design constraints, in order:
   admin endpoint.
 * **No clocks, no environment.**  The registry stores what callers hand
   it; timing lives with the caller (``obs/`` is clock-allowlisted, the
-  rest of the tree goes through :mod:`repro.telemetry.manifest`).
+  rest of the tree goes through :mod:`repro.obs.manifest`).
 
 Histograms are fixed-bucket: ``bounds`` are inclusive upper edges, with
 one implicit overflow bucket.  :func:`histogram_percentile` estimates a

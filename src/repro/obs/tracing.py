@@ -32,6 +32,8 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional
 
+from .schema import load_schema, validate
+
 __all__ = [
     "TRACE_EVENT_SCHEMA_PATH",
     "Span",
@@ -184,6 +186,4 @@ class Tracer:
 
 def validate_trace_export(document: Any) -> List[str]:
     """Violations of the checked-in trace-event schema (empty = valid)."""
-    from ..telemetry.schema import load_schema, validate
-
     return validate(document, load_schema(TRACE_EVENT_SCHEMA_PATH))

@@ -92,7 +92,7 @@ class PipelinedPredictor(AddressPredictor):
                 # prediction is made.
                 self.flushes += 1
                 if self.probe is not None:
-                    self.probe.pipeline_flush()
+                    self.probe.pipeline_flushes += 1
                 self.flush()
 
     def on_call(self, ip: int) -> None:

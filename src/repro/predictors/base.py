@@ -93,9 +93,9 @@ class AddressPredictor:
     def __init__(self) -> None:
         self.ghr = 0
         self.call_path: list[int] = []
-        # Attribution sink (telemetry Instrumentation protocol), attached
-        # from the outside by repro.telemetry.instrument_predictor.  Wiring,
-        # not learned state: reset() forgets tables, never the probe.
+        # Attribution sink: an instrumented run's AttributionCounters,
+        # attached from the outside by repro.eval.runner.instrument_predictor.
+        # Wiring, not learned state: reset() forgets tables, never the probe.
         self.probe: Optional[Any] = None
 
     # -- core interface ------------------------------------------------------

@@ -146,7 +146,7 @@ class CAPComponent:
             drop_low_bits=self.config.drop_low_bits,
         )
         self._offset_mask = mask(self.config.offset_bits)
-        # Attribution sink (attached externally by the telemetry layer).
+        # Attribution sink (see AddressPredictor.probe).
         self.probe: Optional[Any] = None
 
     # -- base-address arithmetic (truncated adders, Section 3.3) -----------
@@ -225,11 +225,11 @@ class CAPComponent:
             # so re-evaluating them here cannot perturb predictor state.
             if tag_ok:
                 if not state.confidence.confident:
-                    self.probe.confidence_veto()
+                    self.probe.confidence_vetoes += 1
                 elif not state.cfi.allows(ghr):
-                    self.probe.cfi_veto()
+                    self.probe.cfi_vetoes += 1
                 else:
-                    self.probe.drain_suppression()
+                    self.probe.drain_suppressions += 1
         return Prediction(
             address=address, speculative=speculative, source="cap", ghr=ghr,
         )
@@ -260,7 +260,7 @@ class CAPComponent:
             state.confidence.update(correct)
             bad_pattern = state.cfi.record(ghr_at_predict, correct, speculated)
             if bad_pattern and self.probe is not None:
-                self.probe.cfi_bad_pattern()
+                self.probe.cfi_bad_patterns += 1
 
         value = self._link_value(state, actual)
         if value is not None:
@@ -283,7 +283,7 @@ class CAPComponent:
                 state.spec_history = state.history
                 state.suppress = state.pending
                 if self.probe is not None:
-                    self.probe.spec_rollback()
+                    self.probe.spec_rollbacks += 1
         else:
             state.spec_history = state.history
             state.pending = 0
@@ -317,7 +317,7 @@ class CAPPredictor(AddressPredictor):
         state = self.load_buffer.lookup(lb_key(ip))
         if state is None:
             if self.probe is not None:
-                self.probe.lb_miss()
+                self.probe.lb_misses += 1
             state = CAPState(self.config, offset)
             if self.speculative_mode:
                 # This very instance is now in flight.

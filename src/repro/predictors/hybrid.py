@@ -45,6 +45,10 @@ _POLICIES = (
 #: Selector component order: counter low half selects stride, high half CAP.
 _STRIDE, _CAP = "stride", "cap"
 
+#: The attribution counter a speculative access routed to each component
+#: increments (``AttributionCounters.selector_cap``/``selector_stride``).
+_SELECTOR_FIELD = {_CAP: "selector_cap", _STRIDE: "selector_stride"}
+
 
 @dataclass(frozen=True)
 class HybridConfig:
@@ -135,7 +139,7 @@ class HybridPredictor(AddressPredictor):
         entry = self.load_buffer.lookup(lb_key(ip))
         if entry is None:
             if self.probe is not None:
-                self.probe.lb_miss()
+                self.probe.lb_misses += 1
             entry = HybridEntry(self.config, offset)
             if self.speculative_mode:
                 # This very instance is now in flight for both components.
@@ -193,7 +197,8 @@ class HybridPredictor(AddressPredictor):
             if cap_pred.made and stride_pred.made:
                 self.selector_stats.dual_speculative += 1
             if self.probe is not None:
-                self.probe.selector_choice(selected)
+                name = _SELECTOR_FIELD[selected]
+                setattr(self.probe, name, getattr(self.probe, name) + 1)
         return prediction
 
     # -- training -------------------------------------------------------------

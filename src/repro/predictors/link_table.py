@@ -108,7 +108,7 @@ class LinkTable(LazySets[LinkEntry]):
         self.tag_mismatches = 0
         self.pf_rejections = 0
         self.link_writes = 0
-        # Attribution sink (attached externally by the telemetry layer).
+        # Attribution sink (see AddressPredictor.probe).
         self.probe: Optional[Any] = None
 
     # -- field extraction ----------------------------------------------------
@@ -146,7 +146,7 @@ class LinkTable(LazySets[LinkEntry]):
             if entry.valid:
                 return entry.link, True
             if self.probe is not None:
-                self.probe.lt_miss()
+                self.probe.lt_misses += 1
             return None, False
         best: Optional[LinkEntry] = None
         for entry in ways:
@@ -159,9 +159,9 @@ class LinkTable(LazySets[LinkEntry]):
             # Attribution: a stored-but-mistagged link is a different cause
             # than an empty set (no link learned for this context at all).
             if best is not None:
-                self.probe.lt_tag_mismatch()
+                self.probe.lt_tag_mismatches += 1
             else:
-                self.probe.lt_miss()
+                self.probe.lt_misses += 1
         # No tag match: the most recent link still gives a (low-confidence,
         # non-speculative) prediction, matching the paper's "a prediction is
         # always performed on a LB hit" wording.
@@ -189,7 +189,7 @@ class LinkTable(LazySets[LinkEntry]):
             return True
         self.pf_rejections += 1
         if self.probe is not None:
-            self.probe.pf_rejection()
+            self.probe.pf_rejections += 1
         return False
 
     def update(self, history: int, value: int) -> bool:

@@ -97,7 +97,7 @@ class StrideLogic:
 
     def __init__(self, config: StrideConfig) -> None:
         self.config = config
-        # Attribution sink (attached externally by the telemetry layer).
+        # Attribution sink (see AddressPredictor.probe).
         self.probe: Optional[Any] = None
 
     def predict(
@@ -137,13 +137,13 @@ class StrideLogic:
             # that withheld speculation; ``confident``/``allows`` are pure
             # reads, so re-evaluating them here is side-effect free.
             if not state.confidence.confident:
-                self.probe.confidence_veto()
+                self.probe.confidence_vetoes += 1
             elif not state.cfi.allows(ghr):
-                self.probe.cfi_veto()
+                self.probe.cfi_vetoes += 1
             elif speculative_mode and state.suppress > 0:
-                self.probe.drain_suppression()
+                self.probe.drain_suppressions += 1
             else:
-                self.probe.interval_stop()
+                self.probe.interval_stops += 1
         if speculative_mode:
             state.spec_last_addr = address
         return Prediction(address=address, speculative=speculative, source="stride")
@@ -185,7 +185,7 @@ class StrideLogic:
             state.confidence.update(correct)
             bad_pattern = state.cfi.record(ghr_at_predict, correct, speculated)
             if bad_pattern and self.probe is not None:
-                self.probe.cfi_bad_pattern()
+                self.probe.cfi_bad_patterns += 1
             if self.config.use_interval:
                 if correct:
                     state.run_length += 1
@@ -217,7 +217,7 @@ class StrideLogic:
                 ) & _MASK32
                 state.suppress = state.pending
                 if self.probe is not None:
-                    self.probe.catchup_fired()
+                    self.probe.catchups_fired += 1
         else:
             state.spec_last_addr = actual
             state.pending = 0
@@ -249,7 +249,7 @@ class StridePredictor(AddressPredictor):
         state = self.table.lookup(lb_key(ip))
         if state is None:
             if self.probe is not None:
-                self.probe.lb_miss()
+                self.probe.lb_misses += 1
             state = StrideState(self.config)
             if self.speculative_mode:
                 # This very instance is now in flight.

@@ -34,17 +34,15 @@ pytest and debugging single-process.
 from __future__ import annotations
 
 import asyncio
-import os
-import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.flight import FlightRecorder
+from ..obs.manifest import perf_clock
 from ..obs.metrics import MetricsRegistry, global_registry
 from ..obs.tracing import Tracer, mint_trace_id
-from ..telemetry import manifest as run_manifest
 from . import protocol
 from .protocol import (
     KIND_EVENTS,
@@ -52,14 +50,12 @@ from .protocol import (
     FrameReader,
     ProtocolError,
 )
-from .session import PredictorSession, SessionConfig
+from .session import PredictorSession, SessionConfig, finish_session
 
 __all__ = [
     "PredictionServer",
     "ServeConfig",
     "ServeStats",
-    "session_manifest",
-    "write_session_manifest",
 ]
 
 
@@ -119,108 +115,6 @@ class ServeStats:
         }
 
 
-def _metrics_record(metrics: Any) -> Dict[str, Any]:
-    """The manifest/finish-response view of a metrics object."""
-    return {
-        "loads": metrics.loads,
-        "predictions": metrics.predictions,
-        "speculative": metrics.speculative,
-        "correct_speculative": metrics.correct_speculative,
-        "correct_predictions": metrics.correct_predictions,
-        "prediction_rate": metrics.prediction_rate,
-        "accuracy": metrics.accuracy,
-        "misprediction_rate": metrics.misprediction_rate,
-        "correct_rate": metrics.correct_rate,
-        "coverage": metrics.coverage,
-    }
-
-
-def session_manifest(
-    config: SessionConfig,
-    metrics: Any,
-    *,
-    events: int,
-    started_wall: float,
-    wall_s: float,
-    cpu_s: float,
-    backend: str,
-    trace_id: Optional[str] = None,
-    flight_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """One ``kind="serve"`` run manifest (``run_manifest.schema.json``)."""
-    attribution = None
-    if hasattr(metrics, "attribution"):
-        attribution = metrics.attribution()
-    return {
-        "schema": run_manifest.MANIFEST_SCHEMA_ID,
-        "config_hash": run_manifest.config_hash(config),
-        "job": {
-            "trace": config.trace,
-            "factory": config.factory,
-            "variant": config.variant or config.factory,
-            "kind": "serve",
-            "overrides": run_manifest.jsonable(config.overrides),
-            "instructions": None,
-            "warmup_fraction": 0.0,
-            "gap": config.gap,
-            "instrument": config.instrument,
-        },
-        "trace": {
-            "name": config.trace or "served-stream",
-            "suite": "serve",
-            "events": events,
-            "loads": metrics.loads,
-        },
-        "run": {
-            "started_at": run_manifest.iso_utc(started_wall),
-            "wall_s": wall_s,
-            "cpu_s": cpu_s,
-            "loads_per_sec": (
-                metrics.loads / wall_s if metrics.loads and wall_s > 0
-                else None
-            ),
-            "peak_rss_kb": run_manifest.peak_rss_kb(),
-            "pid": os.getpid(),
-            "python": platform.python_version(),
-            "backend": backend,
-        },
-        "metrics": _metrics_record(metrics),
-        "cycles": None,
-        "divergence": None,
-        "attribution": attribution,
-        "obs": {
-            "trace_id": trace_id,
-            "flight_recorder": flight_dir,
-            "metrics": None,
-        },
-    }
-
-
-def write_session_manifest(
-    session: PredictorSession,
-    started_wall: float,
-    started_perf: float,
-    started_cpu: float,
-    trace_id: Optional[str] = None,
-    flight_dir: Optional[str] = None,
-) -> None:
-    """Write a finished session's manifest when telemetry is enabled."""
-    if not run_manifest.enabled():
-        return
-    manifest = session_manifest(
-        session.config,
-        session.metrics,
-        events=session.seen_events,
-        started_wall=started_wall,
-        wall_s=run_manifest.perf_clock() - started_perf,
-        cpu_s=run_manifest.cpu_clock() - started_cpu,
-        backend=session.backend,
-        trace_id=trace_id,
-        flight_dir=flight_dir,
-    )
-    run_manifest.write_manifest(manifest)
-
-
 @dataclass
 class _Connection:
     """Per-connection serving state."""
@@ -233,9 +127,6 @@ class _Connection:
     finished: bool = False
     #: Trace id for the session's spans (client-supplied or minted).
     trace_id: str = ""
-    started_wall: float = 0.0
-    started_perf: float = 0.0
-    started_cpu: float = 0.0
 
 
 #: One queued feed: (connection, events, response future, enqueue stamp).
@@ -432,7 +323,7 @@ class PredictionServer:
                 batch.append(extra)
             self._m_queue_depth.set(float(self._queue.qsize()))
             self._m_batch_occupancy.observe(float(len(batch)))
-            now = run_manifest.perf_clock()
+            now = perf_clock()
             for connection, _events, _future, enqueued in batch:
                 wait_s = max(0.0, now - enqueued)
                 self._m_queue_wait.observe(wait_s)
@@ -635,9 +526,6 @@ class PredictionServer:
         connection.session_id = session_id
         connection.finished = False
         connection.trace_id = trace_id
-        connection.started_wall = run_manifest.wall_clock()
-        connection.started_perf = run_manifest.perf_clock()
-        connection.started_cpu = run_manifest.cpu_clock()
         self.stats.sessions_opened += 1
         self._set_active()
         self.flight.record(
@@ -676,7 +564,7 @@ class PredictionServer:
         future: "asyncio.Future[List[tuple]]" = (
             asyncio.get_running_loop().create_future()
         )
-        enqueued = run_manifest.perf_clock()
+        enqueued = perf_clock()
         try:
             self._queue.put_nowait((connection, events, future, enqueued))
         except asyncio.QueueFull:
@@ -757,30 +645,12 @@ class PredictionServer:
         if self._shards is not None and connection.sharded:
             summary = await self._shards.finish(connection.session_id)
         else:
-            session = connection.session
-            assert session is not None
-            metrics = session.finish()
-            write_session_manifest(
-                session,
-                connection.started_wall,
-                connection.started_perf,
-                connection.started_cpu,
+            assert connection.session is not None
+            summary = finish_session(
+                connection.session,
                 trace_id=connection.trace_id or None,
                 flight_dir=self.config.flight_dir,
             )
-            summary = {
-                "backend": session.backend,
-                "loads": session.seen_loads,
-                "events": session.seen_events,
-                "feeds": session.feeds,
-                "kernel_feeds": session.kernel_feeds,
-                "metrics": _metrics_record(metrics),
-                "attribution": (
-                    metrics.attribution()
-                    if hasattr(metrics, "attribution")
-                    else None
-                ),
-            }
         connection.finished = True
         self._sessions_active -= 1
         self.stats.sessions_finished += 1

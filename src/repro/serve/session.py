@@ -4,10 +4,13 @@ A :class:`PredictorSession` owns one predictor plus everything the
 offline runner used to scatter across call sites: the LB/LT tables live
 in the predictor, the correctness counters in a
 :class:`~repro.eval.metrics.PredictorMetrics` (or
-:class:`~repro.eval.metrics.AttributionCounters` when instrumented), and
-cross-feed warm-up accounting in the session itself.  ``feed(events)``
-returns one prediction record per dynamic load; ``finish()`` seals the
-session and returns the metrics.
+:class:`~repro.eval.metrics.AttributionCounters`, which is also the
+predictor's probe, when instrumented), and cross-feed warm-up accounting
+in the session itself.  ``feed(events)`` returns one prediction record
+per dynamic load; ``finish()`` seals the session and returns the
+metrics.  :func:`finish_session` is what the server and its shard
+workers call: it seals the session, writes its run manifest when
+telemetry is on, and returns the ``finish`` response body.
 
 A feed runs the offline evaluation path of :mod:`repro.eval.runner`:
 the kernel dispatch (:func:`repro.kernels.try_run_batch`), else the
@@ -25,12 +28,12 @@ captures the records.  The session adds one rule of its own:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..eval.engine import Job, build_predictor
-from ..eval.metrics import AttributionCounters, PredictorMetrics
-from ..eval.runner import _columns_of, run_scalar
+from ..eval.metrics import PredictorMetrics
+from ..eval.runner import _columns_of, new_metrics, run_scalar
 # Re-exported: the benchmark's served-vs-offline check and ledger bind these.
 from ..eval.runner import run_on_columns, run_on_stream
 from ..kernels import (
@@ -40,6 +43,7 @@ from ..kernels import (
     record_dispatch,
     try_run_batch,
 )
+from ..obs import manifest as run_manifest
 from ..predictors.base import AddressPredictor
 from ..trace.trace import PredictorStream
 
@@ -47,6 +51,7 @@ __all__ = [
     "PredictionRecord",
     "PredictorSession",
     "SessionConfig",
+    "finish_session",
     "run_on_columns",
     "run_on_stream",
 ]
@@ -126,29 +131,21 @@ class PredictorSession:
         self.config = config
         self.session_id = session_id
         self.predictor: AddressPredictor = build_predictor(config.to_job())
-        self._probe: Optional[Any] = None
-        if config.instrument:
-            from ..telemetry.instrumentation import (
-                AttributionProbe,
-                instrument_predictor,
-            )
-
-            self._probe = AttributionProbe()
-            instrument_predictor(self.predictor, self._probe)
-            self.metrics: PredictorMetrics = AttributionCounters(
-                name=config.variant or self.predictor.name,
-                trace=config.trace, suite="serve",
-            )
-        else:
-            self.metrics = PredictorMetrics(
-                name=config.variant or self.predictor.name,
-                trace=config.trace, suite="serve",
-            )
+        self.metrics: PredictorMetrics = new_metrics(
+            self.predictor, config.variant, config.trace, "serve",
+            config.instrument,
+        )
         self.seen_loads = 0
         self.seen_events = 0
         self.feeds = 0
         self.kernel_feeds = 0
         self.finished = False
+        #: (wall, perf, CPU) clocks at open, for the session's manifest.
+        self.started = (
+            run_manifest.wall_clock(),
+            run_manifest.perf_clock(),
+            run_manifest.cpu_clock(),
+        )
 
     # -- introspection -------------------------------------------------------
 
@@ -216,9 +213,54 @@ class PredictorSession:
 
     def finish(self) -> PredictorMetrics:
         """Seal the session and return its metrics (idempotent)."""
-        if not self.finished:
-            self.finished = True
-            if self._probe is not None:
-                assert isinstance(self.metrics, AttributionCounters)
-                self.metrics.absorb_probe(self._probe)
+        self.finished = True
         return self.metrics
+
+
+def finish_session(
+    session: PredictorSession,
+    trace_id: Optional[str] = None,
+    flight_dir: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Seal ``session`` and return the body of its ``finish`` response.
+
+    Under ``REPRO_TELEMETRY=1`` this also writes the session's
+    ``kind="serve"`` run manifest, built by the same
+    :func:`repro.obs.manifest.build_manifest` as an engine job's.
+    """
+    metrics = session.finish()
+    attribution = run_manifest.attribution_record(metrics)
+    if run_manifest.enabled():
+        config = session.config
+        started_wall, started_perf, started_cpu = session.started
+        manifest = run_manifest.build_manifest(
+            config,
+            replace(
+                config.to_job(), kind="serve",
+                variant=config.variant or config.factory,
+            ),
+            {
+                "name": config.trace or "served-stream",
+                "suite": "serve",
+                "events": session.seen_events,
+                "loads": metrics.loads,
+            },
+            started_wall=started_wall,
+            wall_s=run_manifest.perf_clock() - started_perf,
+            cpu_s=run_manifest.cpu_clock() - started_cpu,
+            backend=session.backend,
+            metrics=metrics,
+            attribution=attribution,
+            trace_id=trace_id,
+            flight_recorder=flight_dir,
+        )
+        run_manifest.write_manifest(manifest)
+    return {
+        "backend": session.backend,
+        "loads": session.seen_loads,
+        "events": session.seen_events,
+        "feeds": session.feeds,
+        "kernel_feeds": session.kernel_feeds,
+        "metrics": run_manifest.metrics_record(metrics),
+        "attribution": attribution,
+    }

@@ -30,8 +30,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs.metrics import global_registry
 from ..obs.tracing import Tracer
-from ..telemetry import manifest as run_manifest
-from .session import PredictorSession, SessionConfig
+from .session import PredictorSession, SessionConfig, finish_session
 
 __all__ = ["ShardManager", "shard_worker"]
 
@@ -45,26 +44,6 @@ OP_DISCARD = "discard"
 OP_METRICS = "metrics"
 
 
-def _finish_summary(session: PredictorSession) -> Dict[str, Any]:
-    """The ``finish`` response body (same shape as the in-process path)."""
-    from .server import _metrics_record
-
-    metrics = session.finish()
-    return {
-        "backend": session.backend,
-        "loads": session.seen_loads,
-        "events": session.seen_events,
-        "feeds": session.feeds,
-        "kernel_feeds": session.kernel_feeds,
-        "metrics": _metrics_record(metrics),
-        "attribution": (
-            metrics.attribution()
-            if hasattr(metrics, "attribution")
-            else None
-        ),
-    }
-
-
 def shard_worker(pipe: Any) -> None:
     """One shard's loop: serve session ops off the pipe until sentinel.
 
@@ -73,7 +52,6 @@ def shard_worker(pipe: Any) -> None:
     are answered, never fatal to the shard.
     """
     sessions: Dict[str, PredictorSession] = {}
-    clocks: Dict[str, Tuple[float, float, float]] = {}
     traces: Dict[str, Optional[str]] = {}
     while True:
         try:
@@ -87,29 +65,19 @@ def shard_worker(pipe: Any) -> None:
             if op == OP_OPEN:
                 config, trace_id = payload
                 sessions[session_id] = PredictorSession(config, session_id)
-                clocks[session_id] = (
-                    run_manifest.wall_clock(),
-                    run_manifest.perf_clock(),
-                    run_manifest.cpu_clock(),
-                )
                 traces[session_id] = trace_id
                 reply: Tuple[str, str, Any] = ("ok", session_id, None)
             elif op == OP_FEED:
                 records = sessions[session_id].feed(payload)
                 reply = ("ok", session_id, records)
             elif op == OP_FINISH:
-                from .server import write_session_manifest
-
-                session = sessions.pop(session_id)
-                summary = _finish_summary(session)
-                write_session_manifest(
-                    session, *clocks.pop(session_id),
+                summary = finish_session(
+                    sessions.pop(session_id),
                     trace_id=traces.pop(session_id, None),
                 )
                 reply = ("ok", session_id, summary)
             elif op == OP_DISCARD:
                 sessions.pop(session_id, None)
-                clocks.pop(session_id, None)
                 traces.pop(session_id, None)
                 reply = ("ok", session_id, None)
             elif op == OP_METRICS:

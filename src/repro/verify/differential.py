@@ -364,7 +364,7 @@ def _vectorized_lane(
     if not supports_batch(subject):
         return None
     stream = _columns_of(events)
-    result = run_batch(subject, stream, warmup_loads)
+    result = run_batch(subject, stream)
     if result is None:
         return None
     metrics = PredictorMetrics()

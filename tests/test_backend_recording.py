@@ -91,7 +91,7 @@ class TestRecordBenchProbe:
     def test_all_fallback_roster_probes_python(self, monkeypatch):
         # If every measured variant falls back, the entry must record
         # "python" even though numpy was requested.
-        import repro.telemetry.stats as stats
+        import repro.obs.stats as stats
 
         bench = _bench_module()
         monkeypatch.setattr(stats, "DEFAULT_VARIANTS", {

@@ -20,8 +20,8 @@ from repro.eval.engine import (
 )
 from repro.eval.metrics import PredictorMetrics
 from repro.eval.runner import run_scalar
+from repro.obs import stats as obs_stats
 from repro.pipeline.delayed import PipelinedPredictor
-from repro.telemetry import stats as telemetry_stats
 from repro.workloads import suites
 
 TRACES = ["INT_xli", "MM_aud", "GAM_duk"]
@@ -33,7 +33,7 @@ INSTR = 8000
 JOB_DRIVERS = [
     (E, name, {}) for name in E.__all__ if name != "quick_trace_set"
 ] + [
-    (telemetry_stats, "collect_breakdown", {}),
+    (obs_stats, "collect_breakdown", {}),
     (sensitivity, "sweep",
      {"knob": "cap.history_length", "values": [1, 2]}),
 ]

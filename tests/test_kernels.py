@@ -24,7 +24,12 @@ import pytest
 import repro.predictors
 from repro.common.bitops import fold_xor
 from repro.eval.metrics import PredictorMetrics
-from repro.eval.runner import run_on_columns, run_on_stream, run_scalar
+from repro.eval.runner import (
+    new_metrics,
+    run_on_columns,
+    run_on_stream,
+    run_scalar,
+)
 from repro.kernels import (
     BACKEND_ENV,
     BACKEND_NUMPY,
@@ -59,7 +64,6 @@ from repro.predictors.last_address import LastAddressConfig, LastAddressPredicto
 from repro.predictors.link_table import LinkTableConfig
 from repro.predictors.stride import StrideConfig, StridePredictor
 from repro.serve.session import PredictorSession, SessionConfig
-from repro.telemetry.instrumentation import AttributionProbe, instrument_predictor
 from repro.trace.trace import PredictorStream
 
 
@@ -485,13 +489,13 @@ class TestDispatchGates:
         p = CAPPredictor(CAPConfig(
             lb_entries=64, lb_ways=2,
             lt=LinkTableConfig(entries=64, ways=2, tag_bits=4, pf_bits=2)))
-        assert run_batch(p, self._stream(), 0) is None
+        assert run_batch(p, self._stream()) is None
 
     def test_unless_stride_selected_falls_back(self):
         p = HybridPredictor(HybridConfig(
             lb_entries=64, lb_ways=2, lt_update_policy="unless_stride_selected",
             cap=CAPConfig(lt=_lt(entries=64, tag_bits=4, pf_bits=2))))
-        assert run_batch(p, self._stream(), 0) is None
+        assert run_batch(p, self._stream()) is None
 
     def test_run_on_columns_routes_per_backend(self, monkeypatch):
         stream = self._stream()
@@ -568,10 +572,10 @@ class TestDispatchTally:
 # Kernel-vs-scalar parity: metrics, records, tables, probes.
 
 def _run_both(factory, stream, warmup):
+    """Scalar and kernel runs of one stream, each counting into metrics
+    that are also the predictor's attribution probe."""
     scalar = factory()
-    probe_s = AttributionProbe()
-    instrument_predictor(scalar, probe_s)
-    m_scalar = PredictorMetrics()
+    m_scalar = new_metrics(scalar, instrument=True)
     records = []
     run_on_columns(
         scalar, stream, m_scalar, warmup_loads=warmup,
@@ -579,14 +583,12 @@ def _run_both(factory, stream, warmup):
             (ip, off, act, pr.address, pr.speculative, pr.source)))
 
     batch = factory()
-    probe_b = AttributionProbe()
-    instrument_predictor(batch, probe_b)
-    m_batch = PredictorMetrics()
-    result = run_batch(batch, stream, warmup)
+    m_batch = new_metrics(batch, instrument=True)
+    result = run_batch(batch, stream)
     assert result is not None, "kernel unexpectedly fell back"
     fold_metrics(result, m_batch, warmup)
-    return (scalar, m_scalar, records, probe_s,
-            batch, m_batch, batch_records(result, stream), probe_b)
+    return (scalar, m_scalar, records,
+            batch, m_batch, batch_records(result, stream))
 
 
 #: Every roster entry on two mixed streams, plus the value_vs_address
@@ -615,13 +617,13 @@ def test_kernel_matches_scalar(name, factory, dump, seed):
         stream = make_stream(rng, 1500, rng.choice([5, 23, 150]),
                              correlated=rng.choice([0.4, 0.8]))
     warmup = rng.choice([0, 40])
-    (scalar, m_scalar, records, probe_s,
-     batch, m_batch, brecords, probe_b) = _run_both(factory, stream, warmup)
+    (scalar, m_scalar, records,
+     batch, m_batch, brecords) = _run_both(factory, stream, warmup)
     assert metrics_tuple(m_scalar) == metrics_tuple(m_batch)
     assert records == brecords
     assert (scalar.ghr, scalar.call_path) == (batch.ghr, batch.call_path)
     assert dump(scalar) == dump(batch)
-    assert probe_s.as_dict() == probe_b.as_dict()
+    assert m_scalar.attribution() == m_batch.attribution()
 
 
 def _lb_of(predictor):
@@ -674,7 +676,7 @@ def test_kernel_prefix_then_scalar_matches_scalar(name, factory, dump, seed):
 @pytest.mark.parametrize("events", [0, 1, 7])
 def test_kernel_matches_scalar_degenerate_streams(events):
     stream = make_stream(random.Random(5), events, 3)
-    _, m_scalar, records, _, _, m_batch, brecords, _ = _run_both(
+    _, m_scalar, records, _, m_batch, brecords = _run_both(
         lambda: StridePredictor(StrideConfig(entries=64, ways=2)), stream, 0)
     assert metrics_tuple(m_scalar) == metrics_tuple(m_batch)
     assert records == brecords
@@ -682,7 +684,7 @@ def test_kernel_matches_scalar_degenerate_streams(events):
 
 def test_warmup_beyond_stream_counts_nothing():
     stream = make_stream(random.Random(6), 400, 7)
-    _, m_scalar, _, _, _, m_batch, _, _ = _run_both(
+    _, m_scalar, _, _, m_batch, _ = _run_both(
         lambda: LastAddressPredictor(LastAddressConfig(entries=64, ways=2)),
         stream, 10**9)
     assert metrics_tuple(m_scalar) == metrics_tuple(m_batch)

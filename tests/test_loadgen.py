@@ -85,7 +85,7 @@ class TestEndToEnd:
         assert report["totals"]["errors"] == 0
         assert report["slo"]["p50_ms"] is not None
 
-        from repro.telemetry.stats import check_slo_report, render_slo_report
+        from repro.obs.stats import check_slo_report, render_slo_report
 
         assert check_slo_report(out) == []
         rendered = render_slo_report(out)
@@ -122,7 +122,7 @@ class TestEndToEnd:
         assert obs["spans_exported"] > 0
 
         from repro.obs.tracing import validate_trace_export
-        from repro.telemetry.stats import check_slo_report, render_slo_report
+        from repro.obs.stats import check_slo_report, render_slo_report
 
         assert check_slo_report(out) == []
         assert "queue-wait" in render_slo_report(out)
@@ -138,7 +138,7 @@ class TestEndToEnd:
 
     def test_server_obs_section_is_optional_in_schema(self):
         lg = _loadgen_module()
-        from repro.telemetry.schema import load_schema, validate
+        from repro.obs.schema import load_schema, validate
 
         schema = load_schema(lg.SLO_SCHEMA_PATH)
         base = {

@@ -26,8 +26,8 @@ from repro.eval import experiments
 from repro.eval.engine import Job, run_jobs
 from repro.ingest import RegistryError
 from repro.ingest.normalize import sha256_bytes
-from repro.telemetry import manifest as run_manifest
-from repro.telemetry.schema import validate_manifest
+from repro.obs import manifest as run_manifest
+from repro.obs.schema import validate_manifest
 from repro.workloads import registry, suites
 
 CHECKED_IN = Path("benchmarks") / "traces" / "registry.json"

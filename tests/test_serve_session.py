@@ -6,11 +6,14 @@ whatever a client receives over the wire must equal what an offline
 both backends, and regardless of how the stream is chunked into feeds.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.eval.engine import build_predictor
 from repro.eval.metrics import PredictorMetrics
-from repro.eval.runner import run_on_stream
+from repro.eval.runner import run_on_stream, run_predictor
 from repro.serve.session import PredictorSession, SessionConfig
 from repro.trace.trace import PredictorStream
 from repro.verify.fuzz import generate_events
@@ -54,7 +57,7 @@ def _feeds(events, form, cuts):
 
 def offline_records(factory, events, warmup=0, overrides=None):
     """Reference: scalar offline run with a capturing observer."""
-    from repro.eval.engine import Job, build_predictor
+    from repro.eval.engine import Job
 
     predictor = build_predictor(Job(
         trace="", factory=factory, overrides=dict(overrides or {}),
@@ -184,15 +187,39 @@ class TestLifecycle:
         assert session.feed([]) == []
         assert session.seen_events == 0
 
-    def test_instrumented_session_attribution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        session = PredictorSession(
-            SessionConfig(factory="hybrid", instrument=True)
-        )
-        session.feed(_events(seed=2))
-        metrics = session.finish()
-        assert hasattr(metrics, "attribution")
-        assert sum(metrics.attribution().values()) >= 0
+    def test_instrumented_session_attribution(self, monkeypatch, tmp_path):
+        """A served session fed in chunks counts the same attribution and
+        metrics as one offline instrumented run over the same stream (on
+        numpy the first feed runs the kernels, the rest the scalar
+        loop)."""
+        from repro.workloads import suites
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+        stream = suites.get_predictor_stream("INT_xli", 20000)
+        events = list(stream.tuples())
+        configs = [
+            SessionConfig(factory=factory, instrument=True)
+            for factory in ("stride", "cap", "hybrid")
+        ] + [SessionConfig(factory="hybrid", gap=8, instrument=True)]
+        for backend in ("python", "numpy"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            for config in configs:
+                session = PredictorSession(config)
+                start = 0
+                for size in itertools.cycle((2000, 777)):
+                    if start >= len(events):
+                        break
+                    session.feed(events[start:start + size])
+                    start += size
+                served = session.finish()
+                offline = run_predictor(
+                    build_predictor(config.to_job()), stream,
+                    instrument=True,
+                )
+                cell = (backend, config.factory, config.gap)
+                assert any(served.attribution().values()), cell
+                assert served.attribution() == offline.attribution(), cell
+                assert _metric_tuple(served) == _metric_tuple(offline), cell
 
 
 class TestSessionConfig:

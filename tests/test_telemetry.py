@@ -1,4 +1,4 @@
-"""Instrumentation layer: probes, manifests, schema, stats.
+"""Attribution counters, run manifests, schema, stats.
 
 The load-bearing property is parity: an instrumented predictor must
 report byte-identical attribution counters whether it is driven through
@@ -11,16 +11,15 @@ import random
 import pytest
 
 from repro.eval.engine import FACTORIES, Job, execute_job, run_jobs
-from repro.eval.metrics import AttributionCounters, PredictorMetrics
-from repro.eval.runner import run_predictor
-from repro.pipeline.delayed import PipelinedPredictor
-from repro.telemetry import (
+from repro.eval.metrics import (
     ATTRIBUTION_FIELDS,
-    AttributionProbe,
-    instrument_predictor,
+    AttributionCounters,
+    PredictorMetrics,
 )
-from repro.telemetry import manifest as run_manifest
-from repro.telemetry.schema import load_schema, validate, validate_manifest
+from repro.eval.runner import instrument_predictor, run_predictor
+from repro.obs import manifest as run_manifest
+from repro.obs.schema import load_schema, validate, validate_manifest
+from repro.pipeline.delayed import PipelinedPredictor
 from repro.trace.event import KIND_BRANCH, KIND_CALL, KIND_LOAD, KIND_RET
 from repro.trace.trace import Trace
 
@@ -71,48 +70,48 @@ def _variants():
     yield "hybrid_gap4", lambda: PipelinedPredictor(FACTORIES["hybrid"](), 4)
 
 
-class TestAttributionProbe:
-    def test_fields_pin_counters_dataclass(self):
-        # The probe's field list and AttributionCounters' extra fields are
-        # maintained by hand in two modules; this is the drift alarm.
-        assert tuple(AttributionCounters().attribution()) == ATTRIBUTION_FIELDS
-
+class TestAttributionCounters:
     def test_events_increment_their_field(self):
-        probe = AttributionProbe()
-        probe.lb_miss()
-        probe.lt_tag_mismatch()
-        probe.selector_choice("cap")
-        probe.selector_choice("stride")
-        probe.selector_choice("stride")
-        counts = probe.as_dict()
-        assert counts["lb_misses"] == 1
-        assert counts["lt_tag_mismatches"] == 1
-        assert counts["selector_cap"] == 1
-        assert counts["selector_stride"] == 2
-        assert probe.total_events() == 5
+        # Two static loads, each seen 40 times: one strided, one cycling
+        # through three addresses, so both hybrid components speculate.
+        trace = Trace("two-loads", meta={"suite": "TEST"})
+        ring = [0x9000, 0x9400, 0x9800]
+        for i in range(40):
+            trace.append(KIND_LOAD, 0x400, addr=0x1000 + 16 * i, offset=0)
+            trace.append(KIND_LOAD, 0x404, addr=ring[i % 3], offset=0)
+        predictor = FACTORIES["hybrid"]()
+        metrics = run_predictor(predictor, trace, instrument=True)
+        counts = metrics.attribution()
+        assert counts["lb_misses"] == 2
+        assert counts["selector_cap"] > 0 and counts["selector_stride"] > 0
+        assert (
+            counts["selector_cap"] + counts["selector_stride"]
+            == predictor.selector_stats.speculative
+        )
 
     def test_merge_sums_fields(self):
-        a, b = AttributionProbe(), AttributionProbe()
-        a.pf_rejection()
-        b.pf_rejection()
-        b.confidence_veto()
-        a.merge(b)
+        a = AttributionCounters(pf_rejections=1, loads=10)
+        b = AttributionCounters(pf_rejections=1, confidence_vetoes=1,
+                                loads=5)
+        a += b
         assert a.pf_rejections == 2
         assert a.confidence_vetoes == 1
+        assert a.loads == 15
+        assert tuple(a.attribution()) == ATTRIBUTION_FIELDS
 
-    def test_absorb_probe_matches_by_name(self):
-        probe = AttributionProbe()
-        probe.catchup_fired()
-        counters = AttributionCounters()
-        counters.absorb_probe(probe)
-        counters.absorb_probe(probe)
-        assert counters.catchups_fired == 2
+    def test_instrumented_metrics_are_the_probe(self):
+        predictor = FACTORIES["stride"]()
+        metrics = run_predictor(predictor, _mixed_trace(500),
+                                instrument=True)
+        assert predictor.probe is metrics
+        assert predictor.logic.probe is metrics
+        assert metrics.lb_misses >= 1
 
 
 class TestInstrumentWiring:
     def test_cap_tree_shares_one_probe(self):
         predictor = FACTORIES["cap"]()
-        probe = AttributionProbe()
+        probe = AttributionCounters()
         instrument_predictor(predictor, probe)
         assert predictor.probe is probe
         assert predictor.component.probe is probe
@@ -120,21 +119,21 @@ class TestInstrumentWiring:
 
     def test_hybrid_tree_shares_one_probe(self):
         predictor = FACTORIES["hybrid"]()
-        probe = AttributionProbe()
+        probe = AttributionCounters()
         instrument_predictor(predictor, probe)
         assert predictor.probe is probe
         assert predictor.stride_logic.probe is probe
 
     def test_pipelined_wrapper_recurses(self):
         predictor = PipelinedPredictor(FACTORIES["cap"](), 4)
-        probe = AttributionProbe()
+        probe = AttributionCounters()
         instrument_predictor(predictor, probe)
         assert predictor.probe is probe
         assert predictor.inner.probe is probe
 
     def test_reset_keeps_the_probe_attached(self):
         predictor = FACTORIES["cap"]()
-        probe = AttributionProbe()
+        probe = AttributionCounters()
         instrument_predictor(predictor, probe)
         predictor.reset()
         assert predictor.component.link_table.probe is probe
@@ -233,6 +232,43 @@ class TestManifests:
         assert "start kind=predict" in err
         assert "manifest=" in err
 
+    def test_engine_and_served_manifests_share_one_record(
+        self, tmp_path, monkeypatch
+    ):
+        """The engine job and a whole-trace served session for the same
+        spec write manifests of one shape with one metrics record."""
+        from repro.serve.session import (
+            PredictorSession,
+            SessionConfig,
+            finish_session,
+        )
+        from repro.workloads import suites
+
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "engine"))
+        run_jobs([Job(trace=TRACE, factory="hybrid", variant="hybrid",
+                      instructions=INSTR, instrument=True)])
+        monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "serve"))
+        session = PredictorSession(
+            SessionConfig(factory="hybrid", instrument=True, trace=TRACE)
+        )
+        session.feed(suites.get_predictor_stream(TRACE, INSTR))
+        summary = finish_session(session)
+        (engine,) = run_manifest.load_manifests(tmp_path / "engine")
+        (served,) = run_manifest.load_manifests(tmp_path / "serve")
+        assert validate_manifest(engine) == []
+        assert validate_manifest(served) == []
+        assert set(engine) == set(served)
+        assert set(engine["job"]) == set(served["job"])
+        assert set(engine["run"]) == set(served["run"])
+        assert (engine["job"]["kind"], served["job"]["kind"]) == (
+            "predict", "serve"
+        )
+        assert served["metrics"] == engine["metrics"] == summary["metrics"]
+        assert served["attribution"] == engine["attribution"]
+        assert any(served["attribution"].values())
+
     def test_config_hash_is_stable_and_sensitive(self):
         a = Job(trace=TRACE, factory="cap", instructions=INSTR)
         b = Job(trace=TRACE, factory="cap", instructions=INSTR)
@@ -308,26 +344,38 @@ class TestManifestObsSection:
         manifest["obs"] = {"trace_id": "t", "bogus": 1}
         assert validate_manifest(manifest)
 
-    def test_serve_session_manifest_obs_validates(self):
-        from repro.serve.server import session_manifest
-        from repro.serve.session import SessionConfig
-
-        config = SessionConfig(factory="stride")
-        metrics = PredictorMetrics(name="stride", suite="serve")
-        manifest = session_manifest(
-            config, metrics, events=10, started_wall=0.0,
-            wall_s=0.5, cpu_s=0.4, backend="python",
-            trace_id="lg0-3", flight_dir="/tmp/flight",
+    def test_serve_session_manifest_obs_validates(self, tmp_path,
+                                                  monkeypatch):
+        from repro.serve.session import (
+            PredictorSession,
+            SessionConfig,
+            finish_session,
         )
+
+        out = tmp_path / "telemetry"
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(out))
+        events = list(_mixed_trace(300).predictor_columns().tuples())
+        traced = PredictorSession(SessionConfig(factory="stride",
+                                                variant="traced"))
+        traced.feed(events)
+        summary = finish_session(traced, trace_id="lg0-3",
+                                 flight_dir="/tmp/flight")
+        untraced = PredictorSession(SessionConfig(factory="stride"))
+        finish_session(untraced)
+        manifests = {
+            m["job"]["variant"]: m for m in run_manifest.load_manifests(out)
+        }
+        assert set(manifests) == {"traced", "stride"}
+        manifest = manifests["traced"]
         assert validate_manifest(manifest) == []
+        assert manifest["job"]["kind"] == "serve"
+        assert manifest["metrics"] == summary["metrics"]
+        assert manifest["trace"]["events"] == len(events)
         assert manifest["obs"]["trace_id"] == "lg0-3"
         assert manifest["obs"]["flight_recorder"] == "/tmp/flight"
-        untraced = session_manifest(
-            config, metrics, events=10, started_wall=0.0,
-            wall_s=0.5, cpu_s=0.4, backend="python",
-        )
-        assert validate_manifest(untraced) == []
-        assert untraced["obs"]["trace_id"] is None
+        assert validate_manifest(manifests["stride"]) == []
+        assert manifests["stride"]["obs"]["trace_id"] is None
 
 
 class TestStdoutHygiene:
@@ -399,7 +447,7 @@ class TestSchemaValidator:
 
 class TestStatsReporting:
     def _breakdown(self, monkeypatch):
-        from repro.telemetry import stats
+        from repro.obs import stats
 
         monkeypatch.setenv("REPRO_JOBS", "1")
         return stats.collect_breakdown(
@@ -432,7 +480,7 @@ class TestStatsReporting:
         )
 
     def test_summarize_and_validate_directory(self, tmp_path, monkeypatch):
-        from repro.telemetry import stats
+        from repro.obs import stats
 
         out = tmp_path / "telemetry"
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
@@ -469,7 +517,7 @@ class TestManifestDiff:
             (directory / f"m{index}.json").write_text(json.dumps(manifest))
 
     def test_clean_when_within_tolerance(self, tmp_path):
-        from repro.telemetry.stats import diff_manifests
+        from repro.obs.stats import diff_manifests
 
         self._write(tmp_path / "a", [self._manifest("cap", 1.0, 0.9, 0.5)])
         self._write(tmp_path / "b", [self._manifest("cap", 1.1, 0.9, 0.5)])
@@ -478,7 +526,7 @@ class TestManifestDiff:
         assert diff.rows[0]["flags"] == []
 
     def test_flags_perf_accuracy_and_rate(self, tmp_path):
-        from repro.telemetry.stats import diff_manifests
+        from repro.obs.stats import diff_manifests
 
         self._write(tmp_path / "a", [self._manifest("cap", 1.0, 0.90, 0.50)])
         self._write(tmp_path / "b", [self._manifest("cap", 2.0, 0.80, 0.40)])
@@ -489,7 +537,7 @@ class TestManifestDiff:
         assert "wall" in diff.render()
 
     def test_config_change_is_informational(self, tmp_path):
-        from repro.telemetry.stats import diff_manifests
+        from repro.obs.stats import diff_manifests
 
         self._write(tmp_path / "a", [self._manifest("cap", 1.0, 0.9, 0.5)])
         self._write(
@@ -501,7 +549,7 @@ class TestManifestDiff:
         assert diff.rows[0]["flags"] == ["config"]
 
     def test_unmatched_runs_listed(self, tmp_path):
-        from repro.telemetry.stats import diff_manifests
+        from repro.obs.stats import diff_manifests
 
         self._write(tmp_path / "a", [self._manifest("cap", 1.0, 0.9, 0.5)])
         self._write(tmp_path / "b", [self._manifest("str", 1.0, 0.9, 0.5)])
